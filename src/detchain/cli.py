@@ -286,9 +286,21 @@ def parse_instance(raw: dict, path: str = "<config>") -> InstanceConfig:
         sampler_cfg = SamplerConfig(steps=sc["steps"],
                                     burn_in=sc.get("burn_in"),
                                     seed=sc.get("seed", 0))
+    points = None
+    if "points" in task_cfg:
+        points = tuple(tuple(int(i) for i in lvl) for lvl in task_cfg["points"])
+        if len(points) != m:
+            raise ConfigError(f"{path}: field task/points: expected {m} point lists, "
+                              f"got {len(points)}")
+        for level, (pts, grid) in enumerate(zip(points, grids), start=1):
+            if len(pts) > n_rank:
+                raise ConfigError(f"{path}: field task/points: {len(pts)} points on "
+                                  f"level {level} exceed N = {n_rank}")
+            if pts and max(pts) >= grid.size:
+                raise ConfigError(f"{path}: field task/points: node index {max(pts)} "
+                                  f"out of range on level {level} ({grid.size} nodes)")
     task = TaskSpec(
-        points=tuple(tuple(int(i) for i in lvl) for lvl in task_cfg["points"])
-        if "points" in task_cfg else None,
+        points=points,
         max_count=task_cfg.get("max_count"),
         sampler=sampler_cfg,
     )
@@ -324,12 +336,29 @@ def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, rows, inst: InstanceConfig, tol: float) -> None:
+    """Write the table, each row followed by the instance digest and tolerance."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(list(header) + ["instance", "tolerance"])
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(v) for v in tuple(row) + (inst.digest, tol)])
+
+
+def _verdicts(inst: InstanceConfig, rows, width: int, describe):
+    """Print one PASS/FAIL line per row and append each row's status.
+
+    A row is (name, ..., value, bound) and passes when value <= bound;
+    ``describe`` formats the fields after the name. Returns the exit code and
+    the rows with their status.
+    """
+    print(f"instance {inst.digest}")
+    judged = []
+    for row in rows:
+        passed = row[-2] <= row[-1]
+        print(f"{'PASS' if passed else 'FAIL'}  {row[0]:<{width}s} {describe(*row[1:])}")
+        judged.append(tuple(row) + ("pass" if passed else "fail",))
+    return (0 if all(r[-1] == "pass" for r in judged) else 1), judged
 
 
 def _plain_kernel(inst: InstanceConfig):
@@ -340,9 +369,9 @@ def _plain_kernel(inst: InstanceConfig):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each prints its stdout and returns (exit code, CSV header, CSV rows)
 
-def cmd_check(inst: InstanceConfig, args) -> int:
+def cmd_check(inst: InstanceConfig, args):
     tol = args.tol
     tables, weights = inst.tables, inst.weights
     zeros = WeightSet.zeros(tables.grids)
@@ -367,10 +396,7 @@ def cmd_check(inst: InstanceConfig, args) -> int:
 
     built = build_K(dual_b)
     via_inverse = kernel_via_inverse(tables, weights)
-    diff = max(
-        float(np.max(np.abs(built.block(i, j) - via_inverse.block(i, j))))
-        for i in range(1, tables.m + 1) for j in range(1, tables.m + 1)
-    )
+    diff = float(np.max(np.abs(built.matrix - via_inverse.matrix)))
     kscale = max(1.0, built.max_abs())
     rows.append(("construction_invariance", diff, 1e-12 * kscale))
 
@@ -381,80 +407,51 @@ def cmd_check(inst: InstanceConfig, args) -> int:
                      factorization_residual(kern, transfer, tables, ws),
                      1e-11 * max(1.0, kern.max_abs())))
 
-    ok = True
-    print(f"instance {inst.digest}")
-    for name, value, bound in rows:
-        passed = value <= bound
-        ok = ok and passed
-        print(f"{'PASS' if passed else 'FAIL'}  {name:<28s} "
-              f"residual={value:.3e}  bound={bound:.3e}")
-    out = args.out or inst.output
-    if out:
-        _write_csv(out, ["quantity", "residual", "bound", "status", "instance",
-                         "tolerance"],
-                   [(n, v, b, "pass" if v <= b else "fail", inst.digest, tol)
-                    for n, v, b in rows])
-    return 0 if ok else 1
+    code, rows = _verdicts(inst, rows, 28,
+                           lambda value, bound: f"residual={value:.3e}  bound={bound:.3e}")
+    return code, ["quantity", "residual", "bound", "status"], rows
 
 
-def cmd_gap(inst: InstanceConfig, args) -> int:
+def cmd_gap(inst: InstanceConfig, args):
     _, kernel = _plain_kernel(inst)
     value = fredholm_det(kernel, inst.weights)
     print(_fmt(value))
-    out = args.out or inst.output
-    if out:
-        _write_csv(out, ["quantity", "value", "instance", "tolerance"],
-                   [("gap_probability", value, inst.digest, args.tol)])
-    return 0
+    return 0, ["quantity", "value"], [("gap_probability", value)]
 
 
-def cmd_janossy(inst: InstanceConfig, args) -> int:
+def _at_points(inst: InstanceConfig, args, quantity: str, value_of):
+    """One value of the plain checked kernel at the configured points."""
     if inst.task.points is None:
-        raise ConfigError("janossy needs task.points in the config")
+        raise ConfigError(f"{args.command} needs task.points in the config")
     _, kernel = _plain_kernel(inst)
-    value = janossy(kernel, inst.weights, inst.task.points)
+    value = value_of(kernel, inst.task.points)
     print(_fmt(value))
-    out = args.out or inst.output
-    if out:
-        _write_csv(out, ["quantity", "points", "value", "instance", "tolerance"],
-                   [("janossy_density", json.dumps([list(p) for p in inst.task.points]),
-                     value, inst.digest, args.tol)])
-    return 0
+    points = json.dumps([list(p) for p in inst.task.points])
+    return 0, ["quantity", "points", "value"], [(quantity, points, value)]
 
 
-def cmd_correlate(inst: InstanceConfig, args) -> int:
-    if inst.task.points is None:
-        raise ConfigError("correlate needs task.points in the config")
-    _, kernel = _plain_kernel(inst)
-    value = correlation(kernel, inst.task.points)
-    print(_fmt(value))
-    out = args.out or inst.output
-    if out:
-        _write_csv(out, ["quantity", "points", "value", "instance", "tolerance"],
-                   [("correlation", json.dumps([list(p) for p in inst.task.points]),
-                     value, inst.digest, args.tol)])
-    return 0
+def cmd_janossy(inst: InstanceConfig, args):
+    return _at_points(inst, args, "janossy_density",
+                      lambda kernel, points: janossy(kernel, inst.weights, points))
 
 
-def cmd_counts(inst: InstanceConfig, args) -> int:
+def cmd_correlate(inst: InstanceConfig, args):
+    return _at_points(inst, args, "correlation", correlation)
+
+
+def cmd_counts(inst: InstanceConfig, args):
     if inst.weight_intervals is None:
         raise ConfigError("counts needs interval-type weights in the config")
     _, kernel = _plain_kernel(inst)
     dist = gap_generating_function(kernel, inst.weight_intervals,
                                    max_count=inst.task.max_count)
-    m = inst.tables.m
-    header = [f"count_{j + 1}" for j in range(m)] + ["probability", "instance",
-                                                     "tolerance"]
-    rows = [tuple(counts) + (p, inst.digest, args.tol)
-            for counts, p in sorted(dist.probabilities.items())]
     print(_fmt(dist.total))
-    out = args.out or inst.output
-    if out:
-        _write_csv(out, header, rows)
-    return 0
+    header = [f"count_{j + 1}" for j in range(inst.tables.m)] + ["probability"]
+    return 0, header, [tuple(counts) + (p,)
+                       for counts, p in sorted(dist.probabilities.items())]
 
 
-def cmd_sample(inst: InstanceConfig, args) -> int:
+def cmd_sample(inst: InstanceConfig, args):
     if inst.task.sampler is None:
         raise ConfigError("sample needs task.sampler in the config")
     cfg = inst.task.sampler
@@ -470,16 +467,11 @@ def cmd_sample(inst: InstanceConfig, args) -> int:
     print(f"stderr {_fmt(stderr)}")
     print(f"fredholm_det {_fmt(reference)}")
     print(f"zscore {_fmt(zscore)}")
-    out = args.out or inst.output
-    if out:
-        _write_csv(out, ["quantity", "value", "stderr", "reference", "zscore",
-                         "seed", "instance", "tolerance"],
-                   [("empirical_gap", estimate, stderr, reference, zscore,
-                     cfg.seed, inst.digest, args.tol)])
-    return 0
+    return 0, ["quantity", "value", "stderr", "reference", "zscore", "seed"], \
+        [("empirical_gap", estimate, stderr, reference, zscore, cfg.seed)]
 
 
-def cmd_oracle(inst: InstanceConfig, args) -> int:
+def cmd_oracle(inst: InstanceConfig, args):
     bases, kernel = _plain_kernel(inst)
     enum = enumerate_configurations(inst.tables, bases=bases)
     rows = []
@@ -507,20 +499,10 @@ def cmd_oracle(inst: InstanceConfig, args) -> int:
         rows.append(("count_distribution", ora_dist.total, lib_dist.total,
                      diff, 1e-8))
 
-    ok = True
-    print(f"instance {inst.digest}")
-    for name, oracle_value, library_value, diff, bound in rows:
-        passed = diff <= bound
-        ok = ok and passed
-        print(f"{'PASS' if passed else 'FAIL'}  {name:<20s} oracle={oracle_value!r} "
-              f"library={library_value!r} diff={diff:.3e}")
-    out = args.out or inst.output
-    if out:
-        _write_csv(out, ["quantity", "oracle", "library", "abs_diff", "bound",
-                         "status", "instance", "tolerance"],
-                   [(n, o, l, d, b, "pass" if d <= b else "fail", inst.digest,
-                     args.tol) for n, o, l, d, b in rows])
-    return 0 if ok else 1
+    code, rows = _verdicts(
+        inst, rows, 20,
+        lambda ora, lib, diff, bound: f"oracle={ora!r} library={lib!r} diff={diff:.3e}")
+    return code, ["quantity", "oracle", "library", "abs_diff", "bound", "status"], rows
 
 
 _COMMANDS = {
@@ -565,13 +547,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         inst = load_instance(args.config)
-        return _COMMANDS[args.command](inst, args)
+        code, header, rows = _COMMANDS[args.command](inst, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DetchainError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    out = args.out or inst.output
+    if out:
+        _write_csv(out, header, rows, inst, args.tol)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Fredholm determinants, resolvents, densities, and the resolvent identity.
 
-All Fredholm objects live on the flattened direct-sum space: a block kernel
-right-composed with a weight set w becomes the (sum n_j) x (sum n_j) matrix
-whose block column j carries diag(mu_j * w_j). Then
+All Fredholm objects live on the direct-sum space: a kernel right-composed
+with a weight set w is its (sum n_j) x (sum n_j) matrix with block column j
+scaled by diag(mu_j * w_j). Then
 
     det(1 - Kc o w)            gap probability for indicator w,
     (1 - Kc o w)^{-1} (Kc o w) Fredholm resolvent,
@@ -29,7 +29,17 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .kernels import BlockKernel, build_K, build_g, check_kernel
+from .kernels import (
+    BlockKernel,
+    _lift_first,
+    _lift_last,
+    _max_abs_diff,
+    _measure_weights,
+    build_K,
+    build_g,
+    check_kernel,
+    compose_w,
+)
 
 _RESOLVENT_DET_FLOOR = 1e-12
 
@@ -47,25 +57,18 @@ class BigMatrix:
 
 
 def flatten(kernel: BlockKernel, weights: WeightSet | None) -> BigMatrix:
-    """Assemble the flattened matrix; ``weights=None`` leaves kernel values bare."""
-    sizes = [g.size for g in kernel.grids]
-    offsets = tuple(np.concatenate([[0], np.cumsum(sizes)]).tolist())
-    total = offsets[-1]
-    if weights is not None and weights.m != kernel.m:
-        raise ShapeError(f"{weights.m} weight vectors for {kernel.m} levels")
-    out = np.zeros((total, total))
-    for i in range(kernel.m):
-        for j in range(kernel.m):
-            block = kernel.blocks[i][j]
-            if block is None:
-                continue
-            if weights is None:
-                out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = block
-            else:
-                col = kernel.grids[j].weights * weights.w[j]
-                out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = \
-                    block * col[None, :]
-    return BigMatrix(matrix=out, offsets=offsets)
+    """The kernel's matrix times diag(mu_j w_j); ``weights=None`` leaves it bare."""
+    if weights is None:
+        return BigMatrix(matrix=kernel.matrix, offsets=kernel.offsets)
+    col = _measure_weights(kernel.grids, weights)
+    return BigMatrix(matrix=kernel.matrix * col[None, :], offsets=kernel.offsets)
+
+
+def _one_minus(M: np.ndarray) -> np.ndarray:
+    """1 - M as a new array, formed without an identity operand."""
+    out = -M
+    out.flat[::out.shape[0] + 1] += 1.0
+    return out
 
 
 def _require_checked(kernel: BlockKernel) -> None:
@@ -81,8 +84,22 @@ def fredholm_det(Kc: BlockKernel, weights: WeightSet) -> float:
     and is returned as computed.
     """
     _require_checked(Kc)
+    return float(np.linalg.det(_one_minus(flatten(Kc, weights).matrix)))
+
+
+def _det_and_resolvent(Kc: BlockKernel, weights: WeightSet) -> tuple[float, BlockKernel]:
+    """det(1 - Kc o w) and the resolvent kernel, from one assembly of 1 - Kc o w."""
+    _require_checked(Kc)
     M = flatten(Kc, weights).matrix
-    return float(np.linalg.det(np.eye(M.shape[0]) - M))
+    scale = max(1.0, float(np.max(np.abs(M))))
+    one_minus = _one_minus(M)
+    det = float(np.linalg.det(one_minus))
+    if abs(det) <= _RESOLVENT_DET_FLOOR * scale:
+        raise ResolventSingular(
+            f"Fredholm determinant {det:.3e} vanishes; no resolvent"
+        )
+    solved = np.linalg.solve(one_minus, Kc.matrix)
+    return det, BlockKernel(matrix=solved, grids=Kc.grids, checked=True, rank=Kc.rank)
 
 
 def resolvent(Kc: BlockKernel, weights: WeightSet) -> BlockKernel:
@@ -92,53 +109,27 @@ def resolvent(Kc: BlockKernel, weights: WeightSet) -> BlockKernel:
     (1 - M)^{-1} M with the right diag(mu w) factor stripped; right-composing
     the result with w reproduces the resolvent operator exactly.
     """
-    _require_checked(Kc)
-    big = flatten(Kc, weights)
-    M = big.matrix
-    eye = np.eye(M.shape[0])
-    det = np.linalg.det(eye - M)
-    if abs(det) <= _RESOLVENT_DET_FLOOR * max(1.0, float(np.max(np.abs(M)))):
-        raise ResolventSingular(
-            f"Fredholm determinant {det:.3e} vanishes; no resolvent"
-        )
-    bare = flatten(Kc, None).matrix
-    solved = np.linalg.solve(eye - M, bare)
-    o = big.offsets
-    m = Kc.m
-    blocks = tuple(
-        tuple(solved[o[i]:o[i + 1], o[j]:o[j + 1]] for j in range(m))
-        for i in range(m)
-    )
-    return BlockKernel(blocks=blocks, grids=Kc.grids, checked=True, rank=Kc.rank)
+    return _det_and_resolvent(Kc, weights)[1]
+
+
+def _node_index(kernel: BlockKernel, points) -> np.ndarray:
+    """Indices into the kernel's matrix of per-level node lists, checked per grid."""
+    if len(points) != kernel.m:
+        raise ShapeError(f"need one point list per level, got {len(points)} for {kernel.m}")
+    idx = []
+    for level, pts in enumerate(points):
+        for p in pts:
+            p = int(p)
+            if not 0 <= p < kernel.grids[level].size:
+                raise IndexError(f"node index {p} out of range on level {level + 1}")
+            idx.append(kernel.offsets[level] + p)
+    return np.array(idx, dtype=int)
 
 
 def _sample_matrix(kernel: BlockKernel, points) -> np.ndarray:
     """Cross-level sample matrix kernel(x_a^(i), x_b^(j)) over the point lists."""
-    m = kernel.m
-    if len(points) != m:
-        raise ShapeError(f"need one point list per level, got {len(points)} for {m}")
-    idx = []
-    for level, pts in enumerate(points):
-        arr = [int(p) for p in pts]
-        for p in arr:
-            if not 0 <= p < kernel.grids[level].size:
-                raise IndexError(
-                    f"node index {p} out of range on level {level + 1}"
-                )
-        idx.append(arr)
-    counts = [len(a) for a in idx]
-    total = sum(counts)
-    out = np.empty((total, total))
-    row = 0
-    for i in range(m):
-        col = 0
-        for j in range(m):
-            block = kernel.block(i + 1, j + 1)
-            out[row:row + counts[i], col:col + counts[j]] = \
-                block[np.ix_(idx[i], idx[j])] if counts[i] and counts[j] else 0.0
-            col += counts[j]
-        row += counts[i]
-    return out
+    idx = _node_index(kernel, points)
+    return kernel.matrix[np.ix_(idx, idx)]
 
 
 def correlation(Kc: BlockKernel, points) -> float:
@@ -171,19 +162,15 @@ def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
     _require_checked(Kc)
     if not weights.is_indicator():
         raise ValueError("Janossy densities are defined for indicator weight sets")
+    idx = _node_index(Kc, points)
     for level, pts in enumerate(points):
         for p in pts:
-            p = int(p)
-            if not 0 <= p < Kc.grids[level].size:
-                raise IndexError(f"node index {p} out of range on level {level + 1}")
-            if weights.w[level][p] != 1.0:
+            if weights.w[level][int(p)] != 1.0:
                 raise DomainError(
                     f"point {p} on level {level + 1} lies outside the indicator set"
                 )
-    const = fredholm_det(Kc, weights)
-    R = resolvent(Kc, weights)
-    S = _sample_matrix(R, points)
-    det = 1.0 if S.shape[0] == 0 else float(np.linalg.det(S))
+    const, R = _det_and_resolvent(Kc, weights)
+    det = 1.0 if idx.size == 0 else float(np.linalg.det(R.matrix[np.ix_(idx, idx)]))
     return const * det
 
 
@@ -316,71 +303,42 @@ class IdentityResiduals:
         return max(self.as_dict().values())
 
 
-def _block_maxabs_diff(a: BlockKernel, b) -> float:
-    out = 0.0
-    for i in range(1, a.m + 1):
-        for j in range(1, a.m + 1):
-            out = max(out, float(np.max(np.abs(a.block(i, j) - b(i, j)))))
-    return out
+def _resolvent_residual(kernel: BlockKernel, weights: WeightSet,
+                        expected: BlockKernel) -> float:
+    """max |(1 - kernel o w)^{-1} (kernel o w) - expected o w|."""
+    M = flatten(kernel, weights).matrix
+    solved = np.linalg.solve(_one_minus(M), M)
+    return _max_abs_diff(solved, flatten(expected, weights).matrix)
 
 
 def theorem2_residuals(tables: ChainTables, weights: WeightSet) -> IdentityResiduals:
     """Residuals of the resolvent identity and the four composition identities.
 
     Builds the plain (w = 0) and (1 - w)-dualized kernel families from the
-    same tables and transcribes each identity blockwise. All six residuals
-    vanish up to rounding on every nonsingular instance, for arbitrary real
-    weights.
+    same tables and transcribes each identity as one matrix statement. All
+    six residuals vanish up to rounding on every nonsingular instance, for
+    arbitrary real weights.
     """
     zeros = WeightSet.zeros(tables.grids)
-    plain = dual_bases(tables, zeros)
-    tilde = dual_bases(tables, weights)
-    K = build_K(plain)
+    K = build_K(dual_bases(tables, zeros))
     g = build_g(tables, zeros)
-    Kc = check_kernel(K, g)
-    Kt = build_K(tilde)
+    Kt = build_K(dual_bases(tables, weights))
     gt = build_g(tables, weights)
-    Ktc = check_kernel(Kt, gt)
-    m = tables.m
-    d1 = tables.grids[0].weights
-    em = dual_masses(tables, weights)[m - 1]
+    Kc, Ktc = check_kernel(K, g), check_kernel(Kt, gt)
     scale = max(1.0, Kc.max_abs(), Ktc.max_abs())
+    r_resolvent = _resolvent_residual(Kc, weights, Ktc)
+    r_checked = _max_abs_diff(compose_w(Kc, weights, Ktc).matrix, Ktc.matrix - Kc.matrix)
+    # the checked kernels are done; freeing them keeps check's peak memory down
+    del Kc, Ktc
 
-    big = flatten(Kc, weights).matrix
-    target = flatten(Ktc, weights).matrix
-    eye = np.eye(big.shape[0])
-    r_resolvent = float(np.max(np.abs(np.linalg.solve(eye - big, big) - target)))
-
-    from .kernels import compose_w
-
-    prod = compose_w(Kc, weights, Ktc)
-    r_checked = _block_maxabs_diff(
-        prod, lambda i, j: Ktc.block(i, j) - Kc.block(i, j)
-    )
-
-    prod = compose_w(g, weights, gt)
-    r_gg = _block_maxabs_diff(
-        prod, lambda i, j: g.block(i, j) - gt.block(i, j)
-    )
-
-    def left_term(i, j):
-        if i == 1:
-            return Kt.block(1, j)
-        return g.block(i, 1) @ (d1[:, None] * Kt.block(1, j))
-
-    def right_term(i, j):
-        if j == m:
-            return K.block(i, m)
-        return (K.block(i, m) * em[None, :]) @ gt.block(m, j)
-
-    prod = compose_w(K, weights, Kt)
-    r_kk = _block_maxabs_diff(prod, lambda i, j: left_term(i, j) - right_term(i, j))
-
-    prod = compose_w(g, weights, Kt)
-    r_gk = _block_maxabs_diff(prod, lambda i, j: left_term(i, j) - Kt.block(i, j))
-
-    prod = compose_w(K, weights, gt)
-    r_kg = _block_maxabs_diff(prod, lambda i, j: K.block(i, j) - right_term(i, j))
+    r_gg = _max_abs_diff(compose_w(g, weights, gt).matrix, g.matrix - gt.matrix)
+    # endpoint forms: Kt's level-1 rows carried up by g, K's level-m columns
+    # carried across by gt
+    left = _lift_first(g, tables.grids[0].weights, Kt.matrix[:K.offsets[1]])
+    right = _lift_last(K.matrix[:, K.offsets[-2]:], gt, dual_masses(tables, weights)[-1])
+    r_kk = _max_abs_diff(compose_w(K, weights, Kt).matrix, left - right)
+    r_gk = _max_abs_diff(compose_w(g, weights, Kt).matrix, left - Kt.matrix)
+    r_kg = _max_abs_diff(compose_w(K, weights, gt).matrix, K.matrix - right)
 
     return IdentityResiduals(
         resolvent=r_resolvent,
@@ -399,10 +357,5 @@ def g_resolvent_residual(tables: ChainTables, weights: WeightSet) -> float:
     Measures (1 - dual-g^w)^{-1} dual-g^w - g^w in max norm; both operators
     are strictly lower block triangular, so the inverse always exists.
     """
-    g = build_g(tables, WeightSet.zeros(tables.grids))
-    gt = build_g(tables, weights)
-    plain = flatten(g, weights).matrix
-    dualized = flatten(gt, weights).matrix
-    eye = np.eye(plain.shape[0])
-    solved = np.linalg.solve(eye - dualized, dualized)
-    return float(np.max(np.abs(solved - plain)))
+    return _resolvent_residual(build_g(tables, weights), weights,
+                               build_g(tables, WeightSet.zeros(tables.grids)))

@@ -1,10 +1,12 @@
-"""Block kernels on the direct sum of level spaces.
+"""Kernels on the direct sum of level spaces.
 
-A block kernel is an m x m array of value matrices, block (i, j) of shape
-n_i x n_j, holding a kernel on level_i x level_j. The measure is always
-factored out: composing two kernels through level j inserts
-diag(mu_j * v_j) explicitly for whichever weight function v_j the
-composition uses, so every operator identity is a literal matrix statement.
+A kernel is one (sum n_j) x (sum n_j) array of bare values; level j owns the
+index range offsets[j-1]:offsets[j], so block (i, j), of shape n_i x n_j and
+holding the kernel on level_i x level_j, is a view into that array. Blocks
+that vanish hold zeros. The measure is always factored out: composing two
+kernels through level j inserts diag(mu_j * v_j) explicitly for whichever
+weight function v_j the composition uses, so every operator identity is a
+literal matrix statement.
 
 Three families matter here: the rank-N projection-type kernel
 
@@ -17,11 +19,17 @@ kernel K - g whose Fredholm theory carries all the statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biortho import DualBases, dual_masses, pairing_matrix, tilde_propagator
+from .biortho import (
+    CONDITION_LIMIT,
+    DualBases,
+    dual_masses,
+    pairing_matrix,
+    tilde_propagator,
+)
 from .chain import ChainTables, WeightSet
 from .errors import ShapeError, SingularPairing, StateError
 from .measure import Grid, frozen_array
@@ -29,104 +37,72 @@ from .measure import Grid, frozen_array
 
 @dataclass(frozen=True)
 class BlockKernel:
-    """m x m block matrix of level-to-level kernel values.
+    """Kernel values on the direct sum of the level grids.
 
-    ``blocks`` is 0-based storage; ``None`` entries are implicit zero blocks
-    (the strictly-lower structure of transfer kernels). ``checked`` records
-    whether the transfer part has been subtracted; ``rank`` carries N for
+    ``matrix`` is the read-only (sum n_j) x (sum n_j) array; ``offsets``
+    (derived from the grids) delimit the levels. ``checked`` records whether
+    the transfer part has been subtracted; ``rank`` carries N for
     projection-type kernels and is None otherwise.
     """
 
-    blocks: tuple[tuple[np.ndarray | None, ...], ...]
+    matrix: np.ndarray
     grids: tuple[Grid, ...]
     checked: bool
     rank: int | None = None
+    offsets: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         grids = tuple(self.grids)
         object.__setattr__(self, "grids", grids)
-        m = len(grids)
-        rows = []
-        if len(self.blocks) != m:
-            raise ShapeError(f"{len(self.blocks)} block rows for {m} levels")
-        for i, row in enumerate(self.blocks):
-            if len(row) != m:
-                raise ShapeError(f"block row {i} has {len(row)} entries, expected {m}")
-            new_row = []
-            for j, block in enumerate(row):
-                if block is None:
-                    new_row.append(None)
-                    continue
-                arr = frozen_array(block)
-                want = (grids[i].size, grids[j].size)
-                if arr.shape != want:
-                    raise ShapeError(
-                        f"block ({i + 1}, {j + 1}) has shape {arr.shape}, expected {want}"
-                    )
-                new_row.append(arr)
-            rows.append(tuple(new_row))
-        object.__setattr__(self, "blocks", tuple(rows))
+        offsets = tuple(np.cumsum([0] + [g.size for g in grids]).tolist())
+        object.__setattr__(self, "offsets", offsets)
+        arr = frozen_array(self.matrix)
+        if arr.shape != (offsets[-1], offsets[-1]):
+            raise ShapeError(f"kernel matrix has shape {arr.shape}, expected "
+                             f"{(offsets[-1], offsets[-1])} for the level grids")
+        object.__setattr__(self, "matrix", arr)
 
     @property
     def m(self) -> int:
         return len(self.grids)
 
     def block(self, i: int, j: int) -> np.ndarray:
-        """Block (i, j) with 1-based level indices; zero blocks materialized."""
-        b = self.blocks[i - 1][j - 1]
-        if b is None:
-            return np.zeros((self.grids[i - 1].size, self.grids[j - 1].size))
-        return b
+        """Block (i, j) with 1-based level indices, as a read-only view."""
+        o = self.offsets
+        return self.matrix[o[i - 1]:o[i], o[j - 1]:o[j]]
 
     def max_abs(self) -> float:
-        vals = [float(np.max(np.abs(b))) for row in self.blocks for b in row
-                if b is not None and b.size]
-        return max(vals, default=0.0)
+        return float(np.max(np.abs(self.matrix), initial=0.0))
 
 
 def build_K(bases: DualBases) -> BlockKernel:
     """Projection-type kernel from dual bases: block (i, j) = psi_i^T phi_j."""
-    m = bases.m
-    blocks = tuple(
-        tuple(bases.psi[i].T @ bases.phi[j] for j in range(m)) for i in range(m)
-    )
-    return BlockKernel(blocks=blocks, grids=bases.grids, checked=False, rank=bases.N)
+    matrix = np.hstack(bases.psi).T @ np.hstack(bases.phi)
+    return BlockKernel(matrix=matrix, grids=bases.grids, checked=False, rank=bases.N)
 
 
 def build_g(tables: ChainTables, weights: WeightSet) -> BlockKernel:
     """Strictly lower triangular kernel of composite transfers.
 
     Block (i, j), i > j, holds the level-j to level-i composite with
-    diag(mu (1 - w)) at the intermediate levels; blocks with i <= j are
-    implicit zeros.
+    diag(mu (1 - w)) at the intermediate levels; blocks with i <= j are zero.
     """
-    m = tables.m
-    blocks = tuple(
-        tuple(
-            tilde_propagator(tables, weights, i + 1, j + 1) if i > j else None
-            for j in range(m)
-        )
-        for i in range(m)
-    )
-    return BlockKernel(blocks=blocks, grids=tables.grids, checked=True, rank=None)
+    o = np.cumsum([0] + [g.size for g in tables.grids])
+    matrix = np.zeros((o[-1], o[-1]))
+    for i in range(2, tables.m + 1):
+        for j in range(1, i):
+            matrix[o[i - 1]:o[i], o[j - 1]:o[j]] = tilde_propagator(tables, weights, i, j)
+    return BlockKernel(matrix=matrix, grids=tables.grids, checked=True, rank=None)
 
 
 def check_kernel(K: BlockKernel, g: BlockKernel) -> BlockKernel:
-    """Subtract the transfer part: blockwise K - g, marking the result checked."""
+    """Subtract the transfer part, K - g, marking the result checked."""
     if K.checked:
         raise StateError("transfer part already subtracted from this kernel")
     if K.m != g.m:
         raise ShapeError("kernel and transfer block counts differ")
-    m = K.m
-    blocks = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            gb = g.blocks[i][j]
-            kb = K.block(i + 1, j + 1)
-            row.append(kb if gb is None else kb - gb)
-        blocks.append(tuple(row))
-    return BlockKernel(blocks=tuple(blocks), grids=K.grids, checked=True, rank=K.rank)
+    return BlockKernel(matrix=K.matrix - g.matrix, grids=K.grids, checked=True,
+                       rank=K.rank)
 
 
 def _same_grids(a: BlockKernel, b: BlockKernel) -> bool:
@@ -138,29 +114,49 @@ def _same_grids(a: BlockKernel, b: BlockKernel) -> bool:
     )
 
 
+def _measure_weights(grids, weights: WeightSet) -> np.ndarray:
+    """The diagonal of diag(mu_j * w_j) over all levels, as one vector."""
+    if weights.m != len(grids):
+        raise ShapeError(f"{weights.m} weight vectors for {len(grids)} levels")
+    return np.concatenate([g.weights * w for g, w in zip(grids, weights.w)])
+
+
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b|, with a single temporary."""
+    diff = np.subtract(a, b)
+    return float(np.max(np.abs(diff, out=diff)))
+
+
 def compose_w(A: BlockKernel, weights: WeightSet, B: BlockKernel) -> BlockKernel:
-    """Weighted block composition: block (i, k) = sum_j A_ij diag(mu_j w_j) B_jk."""
+    """Weighted composition A diag(mu w) B: block (i, k) = sum_j A_ij diag(mu_j w_j) B_jk."""
     if not _same_grids(A, B):
         raise ShapeError("composition requires kernels on the same grids")
-    if weights.m != A.m:
-        raise ShapeError(f"{weights.m} weight vectors for {A.m} levels")
-    m = A.m
-    factors = [g.weights * w for g, w in zip(A.grids, weights.w)]
-    blocks = []
-    for i in range(m):
-        row = []
-        for k in range(m):
-            acc = None
-            for j in range(m):
-                left = A.blocks[i][j]
-                right = B.blocks[j][k]
-                if left is None or right is None:
-                    continue
-                term = (left * factors[j][None, :]) @ right
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        blocks.append(tuple(row))
-    return BlockKernel(blocks=tuple(blocks), grids=A.grids, checked=True, rank=None)
+    matrix = (A.matrix * _measure_weights(A.grids, weights)[None, :]) @ B.matrix
+    return BlockKernel(matrix=matrix, grids=A.grids, checked=True, rank=None)
+
+
+def _lift_first(g: BlockKernel, e: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Carry level-1 rows to every level through the transfers of ``g``.
+
+    Returns the (sum n) x k array whose block i is g_i1 diag(e) rows for
+    i > 1 and ``rows`` itself for i = 1.
+    """
+    n1 = g.offsets[1]
+    out = g.matrix[:, :n1] @ (e[:, None] * rows)
+    out[:n1] = rows
+    return out
+
+
+def _lift_last(cols: np.ndarray, g: BlockKernel, e: np.ndarray) -> np.ndarray:
+    """Carry level-m columns to every level through the transfers of ``g``.
+
+    Returns the k x (sum n) array whose block j is cols diag(e) g_mj for
+    j < m and ``cols`` itself for j = m.
+    """
+    last = g.offsets[-2]
+    out = (cols * e[None, :]) @ g.matrix[last:, :]
+    out[:, last:] = cols
+    return out
 
 
 def kernel_via_inverse(tables: ChainTables, weights: WeightSet) -> BlockKernel:
@@ -173,32 +169,15 @@ def kernel_via_inverse(tables: ChainTables, weights: WeightSet) -> BlockKernel:
     """
     A = pairing_matrix(tables, weights)
     cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond >= 1e12:
+    if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
         raise SingularPairing(
             f"pairing matrix is numerically singular (condition {cond:.3e})"
         )
     e = dual_masses(tables, weights)
-    m = tables.m
+    g = build_g(tables, weights)
     corner = tables.f_values.T @ np.linalg.solve(A.T, tables.h_values)
-    lefts: list[np.ndarray | None] = [None] * m   # None means identity
-    rights: list[np.ndarray | None] = [None] * m
-    for i in range(1, m):
-        lefts[i] = tilde_propagator(tables, weights, i + 1, 1) * e[0][None, :]
-    for j in range(m - 1):
-        rights[j] = e[m - 1][:, None] * tilde_propagator(tables, weights, m, j + 1)
-    blocks = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            block = corner
-            if lefts[i] is not None:
-                block = lefts[i] @ block
-            if rights[j] is not None:
-                block = block @ rights[j]
-            row.append(block)
-        blocks.append(tuple(row))
-    return BlockKernel(blocks=tuple(blocks), grids=tables.grids, checked=False,
-                       rank=tables.N)
+    matrix = _lift_last(_lift_first(g, e[0], corner), g, e[-1])
+    return BlockKernel(matrix=matrix, grids=tables.grids, checked=False, rank=tables.N)
 
 
 def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,
@@ -212,27 +191,15 @@ def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,
     floating-point noise on a consistent instance.
     """
     e = dual_masses(tables, weights)
+    o = K.offsets
     m = K.m
-    residual = 0.0
-    corner = K.block(1, m)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i == 1 and j == m:
-                continue
-            block = corner
-            if i != 1:
-                block = g.block(i, 1) @ (e[0][:, None] * block)
-            if j != m:
-                block = (block * e[m - 1][None, :]) @ g.block(m, j)
-            residual = max(residual, float(np.max(np.abs(K.block(i, j) - block))))
-    for i in range(2, m + 1):
-        step = tables.g_values[i - 2]
-        for j in range(1, m + 1):
-            via = step @ (e[i - 2][:, None] * K.block(i - 1, j))
-            residual = max(residual, float(np.max(np.abs(K.block(i, j) - via))))
-    for j in range(1, m):
-        step = tables.g_values[j - 1]
-        for i in range(1, m + 1):
-            via = (K.block(i, j + 1) * e[j][None, :]) @ step
-            residual = max(residual, float(np.max(np.abs(K.block(i, j) - via))))
-    return residual
+    if m == 1:
+        return 0.0
+    M = K.matrix
+    corner = _lift_last(_lift_first(g, e[0], K.block(1, m)), g, e[-1])
+    down = np.vstack([tables.g_values[j] @ (e[j][:, None] * M[o[j]:o[j + 1]])
+                      for j in range(m - 1)])
+    up = np.hstack([(M[:, o[j + 1]:o[j + 2]] * e[j + 1][None, :]) @ tables.g_values[j]
+                    for j in range(m - 1)])
+    return max(_max_abs_diff(M, corner), _max_abs_diff(M[o[1]:], down),
+               _max_abs_diff(M[:, :o[-2]], up))

@@ -233,21 +233,14 @@ def probnm_total_mass(enum: Enumeration, kernel: BlockKernel) -> float:
     if total_cfg * dim * dim > 200_000_000:
         raise ValueError("instance too large for the determinant-form sweep")
     shape = tuple(sizes)
-    big = np.empty(shape + (dim, dim))
-    for i in range(m):
-        for j in range(m):
-            block = kernel.block(i + 1, j + 1)
-            reshape = [1] * m + [n, n]
-            reshape[i] = sizes[i]
-            reshape[j] = sizes[j]
-            if i == j:
-                sub = block[enum.tuples[i][:, :, None], enum.tuples[i][:, None, :]]
-            else:
-                sub = block[enum.tuples[i][:, None, :, None],
-                            enum.tuples[j][None, :, None, :]]
-                if i > j:  # reshape consumes axes in target order
-                    sub = np.swapaxes(sub, 0, 1)
-            big[..., i * n:(i + 1) * n, j * n:(j + 1) * n] = sub.reshape(reshape)
+    # per configuration, the indices of its m * N nodes in the kernel's matrix
+    parts = []
+    for level, (tup, offset) in enumerate(zip(enum.tuples, kernel.offsets)):
+        axes = [1] * m + [n]
+        axes[level] = sizes[level]
+        parts.append(np.broadcast_to((tup + offset).reshape(axes), shape + (n,)))
+    idx = np.concatenate(parts, axis=-1)
+    big = kernel.matrix[idx[..., :, None], idx[..., None, :]]
     dets = np.linalg.det(big.reshape(-1, dim, dim)).reshape(shape)
     mass_axes = _EINSUM_AXES[:m]
     spec = mass_axes + "," + ",".join(mass_axes) + "->"

@@ -130,13 +130,11 @@ def empirical_gap(samples, weights: WeightSet) -> tuple[float, float]:
     """Fraction of samples avoiding all indicator sets, with batch-means stderr."""
     if len(samples) == 0:
         raise ValueError("empty sample stream")
-    inside = [np.flatnonzero(w != 0.0) for w in weights.w]
-    hits = np.array([
-        1.0 if all(
-            not np.any(np.isin(cfg.nodes[j], inside[j])) for j in range(len(inside))
-        ) else 0.0
-        for cfg in samples
-    ])
+    avoided = np.ones(len(samples), dtype=bool)
+    for j, w in enumerate(weights.w):
+        nodes = np.array([cfg.nodes[j] for cfg in samples], dtype=int)
+        avoided &= ~np.any(w[nodes] != 0.0, axis=1)
+    hits = avoided.astype(float)
     estimate = float(hits.mean())
     batches = int(np.sqrt(hits.size))
     if batches < 2:

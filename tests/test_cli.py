@@ -1,5 +1,8 @@
 import csv
 import json
+import re
+
+import pytest
 
 from detchain.cli import main, parse_instance
 
@@ -160,3 +163,58 @@ def test_schema_matches_published_copy():
 
     published = json.loads((CONFIG_DIR.parent / "docs" / "config_schema.json").read_text())
     assert published == CONFIG_SCHEMA
+
+
+@pytest.mark.parametrize("command", ["janossy", "correlate", "oracle"])
+@pytest.mark.parametrize("points", [[[0], [99]], [[0, 1, 2], [0]], [[0], [0], [0]]],
+                         ids=["index_out_of_range", "more_than_N", "extra_level"])
+def test_bad_task_points_is_config_error(tmp_path, capsys, command, points):
+    cfg = json.loads(config_path("discrete_m2n2").read_text())
+    cfg["task"]["points"] = points
+    path = tmp_path / "bad_points.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", path]) == 2
+    assert "task/points" in capsys.readouterr().err
+
+
+def documented_headers():
+    text = (CONFIG_DIR.parent / "docs" / "outputs.md").read_text()
+    return dict(re.findall(r"^\| `(\w+)` \| `([^`]+)` \|$", text, re.MULTILINE))
+
+
+@pytest.mark.parametrize("command", ["check", "gap", "janossy", "correlate", "counts",
+                                     "sample", "oracle"])
+def test_csv_header_and_stdout_agree(tmp_path, capsys, command):
+    cfg = json.loads(config_path("discrete_m2n2").read_text())
+    cfg["task"]["sampler"] = {"steps": 2000, "burn_in": 200, "seed": 5}
+    path = tmp_path / "m2n2.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / f"{command}.csv"
+    assert run([command, "--config", path, "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    m = cfg["chain"]["m"]
+    expected = documented_headers()[command].replace(
+        "count_1,...,count_m", ",".join(f"count_{j + 1}" for j in range(m)))
+    assert header == expected.split(",")
+    table = [dict(zip(header, r)) for r in rows]
+    if command in ("gap", "janossy", "correlate"):
+        assert lines == [table[0]["value"]]
+    elif command == "counts":
+        total = sum(float(r["probability"]) for r in table)
+        assert abs(float(lines[0]) - total) <= 1e-15 * len(table)
+    elif command == "sample":
+        row = table[0]
+        assert lines == [f"empirical_gap {row['value']}", f"stderr {row['stderr']}",
+                         f"fredholm_det {row['reference']}", f"zscore {row['zscore']}"]
+    else:
+        assert lines[0] == f"instance {table[0]['instance']}"
+        assert len(lines) == len(table) + 1
+        for line, r in zip(lines[1:], table):
+            status, name, detail = line.split(None, 2)
+            assert (status, name) == (r["status"].upper(), r["quantity"])
+            if command == "check":
+                assert detail.startswith(f"residual={float(r['residual']):.3e}")
+            else:
+                assert detail.startswith(f"oracle={r['oracle']} library={r['library']}")

@@ -81,7 +81,7 @@ def test_resolvent_zero_weights_is_zero():
 def test_resolvent_scalar_geometric_series():
     grid = make_discrete_grid([0.0], [1.0])
     c = 0.25
-    Kc = BlockKernel(blocks=((np.array([[c]]),),), grids=(grid,), checked=True, rank=1)
+    Kc = BlockKernel(matrix=np.array([[c]]), grids=(grid,), checked=True, rank=1)
     ws = WeightSet.ones([grid])
     R = resolvent(Kc, ws)
     np.testing.assert_allclose(R.block(1, 1), [[c / (1 - c)]], rtol=1e-14)

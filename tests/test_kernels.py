@@ -59,15 +59,16 @@ def test_build_K_matches_inverse_construction():
 def test_build_g_single_level_is_zero():
     tables = two_point_chain()
     g = build_g(tables, WeightSet.zeros(tables.grids))
-    assert g.blocks[0][0] is None
-    np.testing.assert_array_equal(g.block(1, 1), np.zeros((2, 2)))
+    assert g.matrix.shape == (2, 2)
+    assert not np.any(g.block(1, 1))
 
 
 def test_build_g_two_levels():
     tables = seeded_chain(7, m=2, n=2, sizes=(3, 4))
     g = build_g(tables, WeightSet.zeros(tables.grids))
     np.testing.assert_array_equal(g.block(2, 1), tables.g_values[0])
-    assert g.blocks[0][1] is None and g.blocks[0][0] is None
+    for i, j in ((1, 1), (1, 2), (2, 2)):
+        assert not np.any(g.block(i, j))
 
 
 def test_build_g_three_levels_plain_composite():
@@ -132,6 +133,29 @@ def test_compose_associativity():
     for i in range(1, 4):
         for j in range(1, 4):
             assert np.max(np.abs(left.block(i, j) - right.block(i, j))) <= 1e-11 * scale
+
+
+def test_compose_matches_blockwise_sum():
+    tables, ws = random_discrete_instance(21, m=3, N=2, sizes=(3, 5, 4))
+    zeros = WeightSet.zeros(tables.grids)
+    K = build_K(dual_bases(tables, zeros))
+    g, gt = build_g(tables, zeros), build_g(tables, ws)
+    assert len({float(v) for w in ws.w for v in w}) > 1
+    mw = [grid.weights * w for grid, w in zip(tables.grids, ws.w)]
+    eps = np.finfo(float).eps
+    for A, B in ((g, gt), (gt, g), (K, gt), (g, K)):
+        out = compose_w(A, ws, B)
+        for i in range(1, 4):
+            for k in range(1, 4):
+                terms = [(A.block(i, j) * mw[j - 1][None, :]) @ B.block(j, k)
+                         for j in range(1, 4)]
+                ref = sum(terms)
+                size = sum((np.abs(A.block(i, j)) * np.abs(mw[j - 1])[None, :])
+                           @ np.abs(B.block(j, k)) for j in range(1, 4))
+                # both sums run over the 12 inner nodes: 2 * 12 * eps per entry
+                assert np.all(np.abs(out.block(i, k) - ref) <= 24 * eps * size)
+                if A is not K and B is not K and i <= k + 1:
+                    assert not np.any(out.block(i, k))
 
 
 def test_compose_rejects_mismatched_grids():
