@@ -28,7 +28,6 @@ from .chain import (
 )
 from .errors import (
     CompositionInconsistency,
-    ConditioningError,
     DegenerateBasis,
     DetchainError,
     DomainError,
@@ -45,11 +44,9 @@ from .errors import (
     StateError,
 )
 from .fredholm import (
-    BigMatrix,
     CountDistribution,
     IdentityResiduals,
     correlation,
-    flatten,
     fredholm_det,
     g_resolvent_residual,
     gap_generating_function,
@@ -83,12 +80,10 @@ from .sampler import SamplerConfig, configuration_weight, empirical_gap, sample
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigMatrix",
     "BlockKernel",
     "ChainSpec",
     "ChainTables",
     "CompositionInconsistency",
-    "ConditioningError",
     "Configuration",
     "CountDistribution",
     "DegenerateBasis",
@@ -122,7 +117,6 @@ __all__ = [
     "empirical_gap",
     "enumerate_configurations",
     "factorization_residual",
-    "flatten",
     "fredholm_det",
     "from_indicators",
     "from_tables",

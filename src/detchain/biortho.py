@@ -145,6 +145,15 @@ class PairingDecomposition:
             raise ValueError("|diag L| and |diag U| do not match")
 
 
+def check_conditioning(A: np.ndarray) -> None:
+    """Raise SingularPairing unless cond(A) is finite and below CONDITION_LIMIT."""
+    cond = np.linalg.cond(A)
+    if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
+        raise SingularPairing(
+            f"pairing matrix is numerically singular (condition {cond:.3e})"
+        )
+
+
 def plu_decompose(A: np.ndarray) -> PairingDecomposition:
     """PLU decomposition with partial pivoting and equal-|diagonal| scaling.
 
@@ -161,11 +170,7 @@ def plu_decompose(A: np.ndarray) -> PairingDecomposition:
         raise ShapeError("pairing matrix must be square")
     if not np.all(np.isfinite(A)):
         raise SingularPairing("pairing matrix has non-finite entries")
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
-        raise SingularPairing(
-            f"pairing matrix is numerically singular (condition {cond:.3e})"
-        )
+    check_conditioning(A)
     n = A.shape[0]
     upper = A.copy()
     lower = np.eye(n)

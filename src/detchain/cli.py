@@ -31,6 +31,7 @@ from .chain import (
     WeightSet,
     from_indicators,
     from_tables,
+    indicator_vector,
     tabulate,
 )
 from .errors import (
@@ -181,6 +182,9 @@ CONFIG_SCHEMA = {
     },
 }
 
+# built once: jsonschema.validate would re-check the schema on every call
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 DEFAULT_TOLERANCE = 1e-10
 
 
@@ -215,11 +219,10 @@ def _digest(raw: dict) -> str:
 
 def parse_instance(raw: dict, path: str = "<config>") -> InstanceConfig:
     """Validate a raw config dict against the schema and assemble the instance."""
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: field {loc}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"{path}: field {loc}: {error.message}") from error
 
     chain_cfg = raw["chain"]
     m, n_rank = chain_cfg["m"], chain_cfg["N"]
@@ -299,11 +302,14 @@ def parse_instance(raw: dict, path: str = "<config>") -> InstanceConfig:
             if pts and max(pts) >= grid.size:
                 raise ConfigError(f"{path}: field task/points: node index {max(pts)} "
                                   f"out of range on level {level} ({grid.size} nodes)")
-    task = TaskSpec(
-        points=points,
-        max_count=task_cfg.get("max_count"),
-        sampler=sampler_cfg,
-    )
+    max_count = task_cfg.get("max_count")
+    if max_count is not None and weight_intervals is not None:
+        for level, (grid, ivs) in enumerate(zip(grids, weight_intervals), start=1):
+            bound = min(n_rank, int(indicator_vector(grid, ivs).sum()))
+            if max_count < bound:
+                raise ConfigError(f"{path}: field task/max_count: {max_count} is below "
+                                  f"{bound}, the largest count possible on level {level}")
+    task = TaskSpec(points=points, max_count=max_count, sampler=sampler_cfg)
     return InstanceConfig(
         spec=spec,
         tables=tables,

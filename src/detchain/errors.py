@@ -59,10 +59,6 @@ class DomainError(DetchainError):
     """Evaluation point lies outside the support required by the operation."""
 
 
-class ConditioningError(DetchainError):
-    """Requested count extraction exceeds the well-conditioned interpolation range."""
-
-
 class NotAProbability(DetchainError):
     """Total configuration mass is nonpositive or non-finite."""
 

@@ -1,17 +1,19 @@
 """Fredholm determinants, resolvents, densities, and the resolvent identity.
 
 All Fredholm objects live on the direct-sum space: a kernel right-composed
-with a weight set w is its (sum n_j) x (sum n_j) matrix with block column j
-scaled by diag(mu_j * w_j). Then
+with a weight set w is its (sum n_j) x (sum n_j) matrix M with block column j
+scaled by diag(mu_j * w_j). Every column of M outside S = supp(mu w)
+vanishes, so with M_SS its S x S block the gap probability (for indicator
+w) and the Fredholm resolvent kernel are
 
-    det(1 - Kc o w)            gap probability for indicator w,
-    (1 - Kc o w)^{-1} (Kc o w) Fredholm resolvent,
+    det(1 - Kc o w) = det(1 - M_SS),
+    (1 - M)^{-1} Kc = Kc + M[:, S] (1 - M_SS)^{-1} Kc[S, :],
 
 and the central identity states that the resolvent of the checked kernel
 equals the checked kernel of the (1 - w)-dualized construction, composed
 with w. ``theorem2_residuals`` measures that identity together with the four
-composition identities it factors through; on any consistent discretization
-every residual is pure rounding noise.
+composition identities it factors through, on the full matrices; on any
+consistent discretization every residual is pure rounding noise.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ import numpy as np
 
 from .biortho import dual_bases, dual_masses
 from .chain import ChainTables, WeightSet, indicator_vector
-from .errors import (
-    ConditioningError,
-    DomainError,
-    ResolventSingular,
-    ShapeError,
-    StateError,
-)
+from .errors import DomainError, ResolventSingular, ShapeError, StateError
 from .kernels import (
     BlockKernel,
     _lift_first,
@@ -44,26 +40,6 @@ from .kernels import (
 _RESOLVENT_DET_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class BigMatrix:
-    """Flattened block kernel, optionally right-composed with diag(mu_j w_j)."""
-
-    matrix: np.ndarray
-    offsets: tuple[int, ...]
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        o = self.offsets
-        return self.matrix[o[i - 1]:o[i], o[j - 1]:o[j]]
-
-
-def flatten(kernel: BlockKernel, weights: WeightSet | None) -> BigMatrix:
-    """The kernel's matrix times diag(mu_j w_j); ``weights=None`` leaves it bare."""
-    if weights is None:
-        return BigMatrix(matrix=kernel.matrix, offsets=kernel.offsets)
-    col = _measure_weights(kernel.grids, weights)
-    return BigMatrix(matrix=kernel.matrix * col[None, :], offsets=kernel.offsets)
-
-
 def _one_minus(M: np.ndarray) -> np.ndarray:
     """1 - M as a new array, formed without an identity operand."""
     out = -M
@@ -76,40 +52,52 @@ def _require_checked(kernel: BlockKernel) -> None:
         raise StateError("operation requires a checked kernel (transfer part subtracted)")
 
 
+def _on_support(Kc: BlockKernel, weights: WeightSet):
+    """S = supp(mu w), M[:, S] and 1 - M[S, S] for M the matrix of Kc o w."""
+    _require_checked(Kc)
+    col = _measure_weights(Kc.grids, weights)
+    S = np.flatnonzero(col)
+    MS = Kc.matrix[:, S] * col[S]
+    return S, MS, _one_minus(MS[S])
+
+
 def fredholm_det(Kc: BlockKernel, weights: WeightSet) -> float:
-    """det(1 - Kc o w) via LU with partial pivoting.
+    """det(1 - Kc o w) = det(1 - M_SS) via LU with partial pivoting.
 
     For indicator weights this is the probability of finding no points in the
     chosen subsets; it may legitimately be <= 0 for weights outside [0, 1]
     and is returned as computed.
     """
-    _require_checked(Kc)
-    return float(np.linalg.det(_one_minus(flatten(Kc, weights).matrix)))
+    return float(np.linalg.det(_on_support(Kc, weights)[2]))
 
 
-def _det_and_resolvent(Kc: BlockKernel, weights: WeightSet) -> tuple[float, BlockKernel]:
-    """det(1 - Kc o w) and the resolvent kernel, from one assembly of 1 - Kc o w."""
-    _require_checked(Kc)
-    M = flatten(Kc, weights).matrix
-    scale = max(1.0, float(np.max(np.abs(M))))
-    one_minus = _one_minus(M)
+def _sampled_resolvent(Kc: BlockKernel, weights: WeightSet,
+                       idx: np.ndarray) -> tuple[float, np.ndarray]:
+    """det(1 - Kc o w) and the resolvent kernel on the matrix indices ``idx``.
+
+    Refuses a determinant below 1e-12 max(1, max|M|) as vanishing.
+    """
+    S, MS, one_minus = _on_support(Kc, weights)
+    scale = max(1.0, float(np.max(np.abs(MS), initial=0.0)))
     det = float(np.linalg.det(one_minus))
     if abs(det) <= _RESOLVENT_DET_FLOOR * scale:
         raise ResolventSingular(
             f"Fredholm determinant {det:.3e} vanishes; no resolvent"
         )
-    solved = np.linalg.solve(one_minus, Kc.matrix)
-    return det, BlockKernel(matrix=solved, grids=Kc.grids, checked=True, rank=Kc.rank)
+    solved = np.linalg.solve(one_minus, Kc.matrix[np.ix_(S, idx)])
+    return det, Kc.matrix[np.ix_(idx, idx)] + MS[idx] @ solved
 
 
 def resolvent(Kc: BlockKernel, weights: WeightSet) -> BlockKernel:
     """Kernel-valued Fredholm resolvent blocks of Kc o w.
 
-    Solves (1 - M) X = Kc with M the flattened weighted kernel, which is
+    Returns X = (1 - M)^{-1} Kc with M the weighted kernel matrix, which is
     (1 - M)^{-1} M with the right diag(mu w) factor stripped; right-composing
-    the result with w reproduces the resolvent operator exactly.
+    the result with w reproduces the resolvent operator exactly. X is formed
+    on the support S of mu w as Kc + M[:, S] (1 - M_SS)^{-1} Kc[S, :].
     """
-    return _det_and_resolvent(Kc, weights)[1]
+    matrix = _sampled_resolvent(Kc, weights, np.arange(Kc.offsets[-1]))[1]
+    return BlockKernel(matrix=matrix, grids=Kc.grids, checked=True, rank=Kc.rank)
 
 
 def _node_index(kernel: BlockKernel, points) -> np.ndarray:
@@ -169,9 +157,8 @@ def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
                 raise DomainError(
                     f"point {p} on level {level + 1} lies outside the indicator set"
                 )
-    const, R = _det_and_resolvent(Kc, weights)
-    det = 1.0 if idx.size == 0 else float(np.linalg.det(R.matrix[np.ix_(idx, idx)]))
-    return const * det
+    const, R = _sampled_resolvent(Kc, weights, idx)
+    return const * float(np.linalg.det(R))
 
 
 def joint_density(bases, tables: ChainTables, config) -> tuple[float, float]:
@@ -217,49 +204,44 @@ class CountDistribution:
         return self.probabilities.get(tuple(int(c) for c in counts), 0.0)
 
 
-_MAX_COUNT_DEGREE = 8
-
-
 def gap_generating_function(Kc: BlockKernel, intervals, max_count: int | None = None) -> CountDistribution:
-    """Count distribution from determinant evaluations on a coefficient grid.
+    """Count distribution by a discrete Fourier transform of its generating function.
 
-    With per-level indicators chi_j and scalars kappa_j, the determinant
-    det(1 - Kc o (kappa chi)) is, in the variables xi_j = 1 - kappa_j, the
-    generating polynomial sum_k P(counts = k) prod_j xi_j^{k_j}. Evaluating
-    it on a per-level Chebyshev grid in xi and inverting the Vandermonde
-    systems recovers the probabilities. Per-level counts above 8 are refused
-    as ill-conditioned.
+    With per-level indicators chi_j, det(1 - Kc o ((1 - xi_j) chi_j)) is the
+    generating polynomial sum_k P(counts = k) prod_j xi_j^{k_j}. Its degree
+    in xi_j is at most d_j = min(N, |S_j|), with S_j the level-j nodes inside
+    the intervals (|S_j| alone when the rank N is unknown). Evaluating
+    det(1 - M_SS diag(1 - xi)) with each xi_j at the (d_j + 1)-th roots of
+    unity and applying the inverse DFT recovers the probabilities.
+    ``max_count`` raises d_j up to |S_j|; a value below min(N, |S_j|) would
+    alias the distribution and is refused.
     """
-    _require_checked(Kc)
     m = Kc.m
     if len(intervals) != m:
         raise ShapeError(f"need one interval list per level, got {len(intervals)}")
-    rank = Kc.rank if max_count is None else int(max_count)
-    if rank is None:
-        raise ValueError("max_count is required when the kernel rank is unknown")
     chi = [indicator_vector(g, ivs) for g, ivs in zip(Kc.grids, intervals)]
-    degrees = [min(rank, int(round(c.sum()))) for c in chi]
-    if any(d > _MAX_COUNT_DEGREE for d in degrees):
-        raise ConditioningError(
-            f"count extraction beyond {_MAX_COUNT_DEGREE} per level is refused"
-        )
-    xi_grids = [
-        0.5 * (np.cos(np.pi * (2 * np.arange(d + 1) + 1) / (2 * (d + 1))) + 1.0)
-        for d in degrees
-    ]
+    S, MS, _ = _on_support(Kc, WeightSet(tuple(chi)))
+    sizes = [int(c.sum()) for c in chi]
+    degrees = sizes if Kc.rank is None else [min(Kc.rank, s) for s in sizes]
+    if max_count is not None:
+        for level, d in enumerate(degrees, start=1):
+            if max_count < d:
+                raise ValueError(f"max_count {max_count} is below {d}, the largest "
+                                 f"count that can occur on level {level}")
+        degrees = [min(int(max_count), s) for s in sizes]
     shape = tuple(d + 1 for d in degrees)
-    dets = np.empty(shape)
+    MSS = MS[S]
+    coeffs = np.empty(shape, dtype=complex)
     for idx in np.ndindex(shape):
-        ws = WeightSet(tuple(
-            (1.0 - xi_grids[j][idx[j]]) * chi[j] for j in range(m)
-        ))
-        dets[idx] = fredholm_det(Kc, ws)
-    coeffs = dets
-    for axis in range(m):
-        vander = np.vander(xi_grids[axis], increasing=True)
-        moved = np.moveaxis(coeffs, axis, 0)
-        solved = np.linalg.solve(vander, moved.reshape(shape[axis], -1))
-        coeffs = np.moveaxis(solved.reshape(moved.shape), 0, axis)
+        kappa = [1.0 - np.exp(2j * np.pi * k / n) for k, n in zip(idx, shape)]
+        coeffs[idx] = np.linalg.det(_one_minus(MSS * np.repeat(kappa, sizes)))
+    # inverse DFT axis by axis, as a product with the (d_j + 1)-square DFT
+    # matrix: the lengths are small, and loading numpy.fft for them would
+    # add about half a megabyte of resident memory to every process
+    for axis, n in enumerate(shape):
+        inverse = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / n
+        coeffs = np.moveaxis(np.tensordot(inverse, coeffs, axes=(1, axis)), 0, axis)
+    coeffs = coeffs.real
     probabilities = {
         tuple(int(k) for k in idx): float(coeffs[idx]) for idx in np.ndindex(shape)
     }
@@ -305,10 +287,11 @@ class IdentityResiduals:
 
 def _resolvent_residual(kernel: BlockKernel, weights: WeightSet,
                         expected: BlockKernel) -> float:
-    """max |(1 - kernel o w)^{-1} (kernel o w) - expected o w|."""
-    M = flatten(kernel, weights).matrix
+    """max |(1 - kernel o w)^{-1} (kernel o w) - expected o w|, on the full matrices."""
+    col = _measure_weights(kernel.grids, weights)[None, :]
+    M = kernel.matrix * col
     solved = np.linalg.solve(_one_minus(M), M)
-    return _max_abs_diff(solved, flatten(expected, weights).matrix)
+    return _max_abs_diff(solved, expected.matrix * col)
 
 
 def theorem2_residuals(tables: ChainTables, weights: WeightSet) -> IdentityResiduals:

@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .biortho import (
-    CONDITION_LIMIT,
     DualBases,
+    check_conditioning,
     dual_masses,
     pairing_matrix,
     tilde_propagator,
 )
 from .chain import ChainTables, WeightSet
-from .errors import ShapeError, SingularPairing, StateError
+from .errors import ShapeError, StateError
 from .measure import Grid, frozen_array
 
 
@@ -168,11 +168,7 @@ def kernel_via_inverse(tables: ChainTables, weights: WeightSet) -> BlockKernel:
     independent construction oracle for build_K.
     """
     A = pairing_matrix(tables, weights)
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
-        raise SingularPairing(
-            f"pairing matrix is numerically singular (condition {cond:.3e})"
-        )
+    check_conditioning(A)
     e = dual_masses(tables, weights)
     g = build_g(tables, weights)
     corner = tables.f_values.T @ np.linalg.solve(A.T, tables.h_values)

@@ -177,6 +177,45 @@ def test_bad_task_points_is_config_error(tmp_path, capsys, command, points):
     assert "task/points" in capsys.readouterr().err
 
 
+def test_config_schema_is_valid_2020_12():
+    import jsonschema
+
+    from detchain.cli import CONFIG_SCHEMA
+
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize("raw", [
+    {"grids": []},
+    {"chain": {"family": "tabulated", "m": 0, "N": 1}, "grids": [{"kind": "x"}]},
+    {"chain": {"family": "monomial_exponential", "m": 1, "N": 1},
+     "grids": [{"kind": "discrete", "points": [0.0], "masses": ["one"]}],
+     "task": {"max_count": -1}},
+])
+def test_schema_error_is_the_one_jsonschema_validate_picks(raw):
+    import jsonschema
+
+    from detchain.cli import CONFIG_SCHEMA, ConfigError
+
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(raw, CONFIG_SCHEMA)
+    with pytest.raises(ConfigError) as got:
+        parse_instance(raw)
+    assert str(got.value).endswith(f": {expected.value.message}")
+
+
+def test_aliasing_max_count_is_config_error(tmp_path, capsys):
+    # two nodes of discrete_m1n2 lie inside its interval and N = 2, so counts
+    # up to 2 can occur
+    cfg = json.loads(config_path("discrete_m1n2").read_text())
+    cfg["task"]["max_count"] = 1
+    path = tmp_path / "max_count.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["counts", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "task/max_count" in err and "1 is below 2" in err
+
+
 def documented_headers():
     text = (CONFIG_DIR.parent / "docs" / "outputs.md").read_text()
     return dict(re.findall(r"^\| `(\w+)` \| `([^`]+)` \|$", text, re.MULTILINE))

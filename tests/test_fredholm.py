@@ -3,7 +3,6 @@ import pytest
 
 from detchain import (
     BlockKernel,
-    ConditioningError,
     DomainError,
     ResolventSingular,
     StateError,
@@ -13,7 +12,6 @@ from detchain import (
     check_kernel,
     correlation,
     dual_bases,
-    flatten,
     fredholm_det,
     g_resolvent_residual,
     gap_generating_function,
@@ -66,16 +64,20 @@ def test_det_of_transfer_kernel_is_one():
     tables, ws = random_discrete_instance(2, m=3, N=2)
     g = build_g(tables, ws)
     assert abs(fredholm_det(g, ws) - 1.0) < 1e-12
+    # so its count generating function is the constant 1; with the rank
+    # unknown, each level's degree bound is its node count
+    dist = gap_generating_function(g, [[(-3.0, 3.0)]] * tables.m)
+    assert len(dist.probabilities) == np.prod([grid.size + 1 for grid in tables.grids])
+    assert abs(dist.probability((0,) * tables.m) - 1.0) < 1e-12
+    assert max(abs(p) for k, p in dist.probabilities.items() if any(k)) < 1e-12
 
 
 def test_resolvent_zero_weights_is_zero():
     tables, _ = random_discrete_instance(3, m=2, N=2)
     _, Kc = checked_kernel(tables)
-    zeros = WeightSet.zeros(tables.grids)
-    assert np.max(np.abs(flatten(Kc, zeros).matrix)) == 0.0
-    R = resolvent(Kc, zeros)
-    # the weighted operator (1 - 0)^{-1} (Kc o 0) is the zero operator
-    assert np.max(np.abs(flatten(R, zeros).matrix)) == 0.0
+    # S = supp(mu w) is empty, so (1 - Kc o 0)^{-1} Kc is Kc itself
+    R = resolvent(Kc, WeightSet.zeros(tables.grids))
+    assert np.array_equal(R.matrix, Kc.matrix)
 
 
 def test_resolvent_scalar_geometric_series():
@@ -178,15 +180,48 @@ def test_counts_trivial_distributions():
     assert off_grid.probabilities == {(0,) * m: 1.0}
 
 
-def test_counts_refuses_deep_extraction():
-    rng = np.random.default_rng(55)
-    grid = make_discrete_grid(np.arange(12.0), rng.uniform(0.5, 1.5, 12))
-    from detchain import from_tables
+def test_counts_beyond_eight_per_level_match_poisson_binomial():
+    # one level, N = 10: det(1 - (1 - xi) Kc_SS mu_S) = prod_i (1 - lam_i + lam_i xi)
+    # over the eigenvalues lam_i of Kc[S, S] mu_S
+    worst = 0.0
+    for seed in range(5):
+        tables, _ = random_discrete_instance(200 + seed, m=1, N=10, sizes=(14,))
+        _, Kc = checked_kernel(tables)
+        nodes = tables.grids[0].nodes
+        interval = (float(nodes[1]), float(nodes[-1]))  # nodes 2..13: 12 > N
+        S = (nodes > interval[0]) & (nodes <= interval[1])
+        lam = np.linalg.eigvals(Kc.matrix[np.ix_(S, S)] * tables.grids[0].weights[S])
+        poly = np.array([1.0 + 0j])
+        for x in lam:
+            poly = np.convolve(poly, [1.0 - x, x])
+        dist = gap_generating_function(Kc, [[interval]])
+        assert sorted(dist.probabilities) == [(k,) for k in range(11)]
+        got = np.array([dist.probability((k,)) for k in range(poly.size)])
+        # the eigenvalues need not lie in [0, 1]: scale by the largest coefficient
+        worst = max(worst, float(np.max(np.abs(got - poly.real)))
+                    / max(1.0, float(np.max(np.abs(poly)))))
+    assert worst <= 1e-12
 
-    tables = from_tables([grid], rng.normal(size=(2, 12)), rng.normal(size=(2, 12)), [])
-    _, Kc = checked_kernel(tables)
-    with pytest.raises(ConditioningError):
-        gap_generating_function(Kc, [[(-1.0, 12.0)]], max_count=9)
+
+def test_counts_refuse_max_count_that_would_alias():
+    inst = positive_instance()
+    _, Kc = checked_kernel(inst.tables)
+    # one node inside each level's interval: a count of 1 can occur
+    with pytest.raises(ValueError, match="max_count 0 is below 1"):
+        gap_generating_function(Kc, inst.weight_intervals, max_count=0)
+
+
+def test_counts_max_count_above_rank_adds_empty_rows():
+    inst = positive_instance(m=1, N=2, sizes=(6,))
+    _, Kc = checked_kernel(inst.tables)
+    nodes = inst.tables.grids[0].nodes
+    everything = [[(float(nodes[0]) - 1.0, float(nodes[-1]))]]
+    base = gap_generating_function(Kc, everything)
+    wide = gap_generating_function(Kc, everything, max_count=3)
+    assert set(wide.probabilities) == set(base.probabilities) | {(3,)}
+    assert abs(wide.probability((3,))) <= 1e-14
+    for key, p in base.probabilities.items():
+        assert abs(wide.probability(key) - p) <= 1e-14
 
 
 def test_janossy_masses_sum_to_one():
@@ -242,3 +277,43 @@ def test_theorem2_residuals_indicator_weights():
 def test_transfer_resolvent_identity():
     tables, ws = random_discrete_instance(43, m=3, N=2)
     assert g_resolvent_residual(tables, ws) <= 1e-10
+
+
+def dense_reference(Kc, weights):
+    """det(1 - M) and (1 - M)^{-1} Kc on the full (sum n)^2 matrix M of Kc o w."""
+    col = np.concatenate([g.weights * w for g, w in zip(Kc.grids, weights.w)])
+    one_minus = np.eye(col.size) - Kc.matrix * col[None, :]
+    return np.linalg.det(one_minus), np.linalg.solve(one_minus, Kc.matrix)
+
+
+def reference_cases():
+    """Seeded instances with soft weights holding zeros, indicator weights, and w = 0."""
+    rng = np.random.default_rng(5)
+    for seed in range(6):
+        tables, ws = random_discrete_instance(500 + seed, m=3, N=2)
+        soft = WeightSet(tuple(np.where(rng.random(w.size) < 0.4, 0.0, w) for w in ws.w))
+        # two nodes per level stay outside the set, so A^w can have rank N
+        yield tables, WeightSet(tuple(np.r_[rng.random(w.size - 2) < 0.5, 0, 0]
+                                      .astype(float) for w in ws.w))
+        yield tables, soft
+        yield tables, WeightSet.zeros(tables.grids)
+
+
+def test_support_restriction_matches_dense_formulas():
+    count = 0
+    for tables, ws in reference_cases():
+        _, Kc = checked_kernel(tables)
+        det_ref, R_ref = dense_reference(Kc, ws)
+        scale = max(1.0, float(np.max(np.abs(R_ref))))
+        assert abs(fredholm_det(Kc, ws) - det_ref) <= 1e-13 * max(1.0, abs(det_ref))
+        R = resolvent(Kc, ws)
+        assert np.max(np.abs(R.matrix - R_ref)) <= 1e-13 * scale
+        if ws.is_indicator():
+            # one point per level where the indicator holds, if it holds there
+            points = [[int(np.flatnonzero(w)[0])] if w.any() else [] for w in ws.w]
+            idx = [Kc.offsets[j] + p for j, pts in enumerate(points) for p in pts]
+            ref = det_ref * (np.linalg.det(R_ref[np.ix_(idx, idx)]) if idx else 1.0)
+            got = janossy(Kc, ws, points)
+            assert abs(got - ref) <= 1e-13 * scale * max(1.0, abs(ref))
+            count += 1
+    assert count == 12  # six indicator sets and six w = 0
