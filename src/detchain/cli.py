@@ -479,7 +479,10 @@ def cmd_sample(inst: InstanceConfig, args):
 
 def cmd_oracle(inst: InstanceConfig, args):
     bases, kernel = _plain_kernel(inst)
-    enum = enumerate_configurations(inst.tables, bases=bases)
+    try:
+        enum = enumerate_configurations(inst.tables, bases=bases)
+    except ValueError as exc:
+        raise ConfigError(f"oracle: {exc}") from exc
     rows = []
 
     det = fredholm_det(kernel, inst.weights)
@@ -549,8 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: building the parser costs more than parsing one command line
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         inst = load_instance(args.config)
         code, header, rows = _COMMANDS[args.command](inst, args)

@@ -12,8 +12,9 @@ w) and the Fredholm resolvent kernel are
 and the central identity states that the resolvent of the checked kernel
 equals the checked kernel of the (1 - w)-dualized construction, composed
 with w. ``theorem2_residuals`` measures that identity together with the four
-composition identities it factors through, on the full matrices; on any
-consistent discretization every residual is pure rounding noise.
+composition identities it factors through, with 1 - M factored in full as
+the reference; on any consistent discretization every residual is pure
+rounding noise.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .kernels import (
     _lift_last,
     _max_abs_diff,
     _measure_weights,
+    _support_columns,
     build_K,
     build_g,
     check_kernel,
@@ -55,9 +57,7 @@ def _require_checked(kernel: BlockKernel) -> None:
 def _on_support(Kc: BlockKernel, weights: WeightSet):
     """S = supp(mu w), M[:, S] and 1 - M[S, S] for M the matrix of Kc o w."""
     _require_checked(Kc)
-    col = _measure_weights(Kc.grids, weights)
-    S = np.flatnonzero(col)
-    MS = Kc.matrix[:, S] * col[S]
+    S, MS = _support_columns(Kc, weights)
     return S, MS, _one_minus(MS[S])
 
 
@@ -212,7 +212,8 @@ def gap_generating_function(Kc: BlockKernel, intervals, max_count: int | None = 
     in xi_j is at most d_j = min(N, |S_j|), with S_j the level-j nodes inside
     the intervals (|S_j| alone when the rank N is unknown). Evaluating
     det(1 - M_SS diag(1 - xi)) with each xi_j at the (d_j + 1)-th roots of
-    unity and applying the inverse DFT recovers the probabilities.
+    unity and applying the inverse DFT recovers the probabilities; of each
+    conjugate pair of root tuples only one needs a determinant.
     ``max_count`` raises d_j up to |S_j|; a value below min(N, |S_j|) would
     alias the distribution and is refused.
     """
@@ -233,6 +234,12 @@ def gap_generating_function(Kc: BlockKernel, intervals, max_count: int | None = 
     MSS = MS[S]
     coeffs = np.empty(shape, dtype=complex)
     for idx in np.ndindex(shape):
+        # the polynomial has real coefficients: its value at the conjugate
+        # tuple -k, met earlier in this order, is the conjugate
+        mirror = tuple(-k % n for k, n in zip(idx, shape))
+        if mirror < idx:
+            coeffs[idx] = np.conj(coeffs[mirror])
+            continue
         kappa = [1.0 - np.exp(2j * np.pi * k / n) for k, n in zip(idx, shape)]
         coeffs[idx] = np.linalg.det(_one_minus(MSS * np.repeat(kappa, sizes)))
     # inverse DFT axis by axis, as a product with the (d_j + 1)-square DFT
@@ -287,11 +294,14 @@ class IdentityResiduals:
 
 def _resolvent_residual(kernel: BlockKernel, weights: WeightSet,
                         expected: BlockKernel) -> float:
-    """max |(1 - kernel o w)^{-1} (kernel o w) - expected o w|, on the full matrices."""
-    col = _measure_weights(kernel.grids, weights)[None, :]
-    M = kernel.matrix * col
-    solved = np.linalg.solve(_one_minus(M), M)
-    return _max_abs_diff(solved, expected.matrix * col)
+    """max |(1 - kernel o w)^{-1} (kernel o w) - expected o w|.
+
+    1 - M is factored in full as the reference; the right-hand sides are the
+    columns on S = supp(mu w), since the others vanish on both sides.
+    """
+    one_minus = _one_minus(kernel.matrix * _measure_weights(kernel.grids, weights))
+    solved = np.linalg.solve(one_minus, _support_columns(kernel, weights)[1])
+    return _max_abs_diff(solved, _support_columns(expected, weights)[1])
 
 
 def theorem2_residuals(tables: ChainTables, weights: WeightSet) -> IdentityResiduals:

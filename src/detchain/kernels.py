@@ -121,17 +121,28 @@ def _measure_weights(grids, weights: WeightSet) -> np.ndarray:
     return np.concatenate([g.weights * w for g, w in zip(grids, weights.w)])
 
 
+def _support_columns(kernel: BlockKernel, weights: WeightSet):
+    """S = supp(mu w) and the columns on S of kernel o w; all others vanish."""
+    col = _measure_weights(kernel.grids, weights)
+    S = np.flatnonzero(col)
+    return S, kernel.matrix[:, S] * col[S]
+
+
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b|, with a single temporary."""
+    """max |a - b|, with a single temporary; 0 for empty operands."""
     diff = np.subtract(a, b)
-    return float(np.max(np.abs(diff, out=diff)))
+    return float(np.max(np.abs(diff, out=diff), initial=0.0))
 
 
 def compose_w(A: BlockKernel, weights: WeightSet, B: BlockKernel) -> BlockKernel:
-    """Weighted composition A diag(mu w) B: block (i, k) = sum_j A_ij diag(mu_j w_j) B_jk."""
+    """Weighted composition A diag(mu w) B: block (i, k) = sum_j A_ij diag(mu_j w_j) B_jk.
+
+    The sum runs over S = supp(mu w) only; the other inner terms are exact zeros.
+    """
     if not _same_grids(A, B):
         raise ShapeError("composition requires kernels on the same grids")
-    matrix = (A.matrix * _measure_weights(A.grids, weights)[None, :]) @ B.matrix
+    S, AS = _support_columns(A, weights)
+    matrix = AS @ B.matrix[S]
     return BlockKernel(matrix=matrix, grids=A.grids, checked=True, rank=None)
 
 

@@ -15,6 +15,7 @@ truncation is ever chosen silently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +88,13 @@ class Grid:
         return int(self.nodes.size)
 
 
+@functools.lru_cache(maxsize=16)
 def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of n-point Gauss-Legendre quadrature on [-1, 1].
 
     Roots of the degree-n Legendre polynomial by Newton iteration from the
-    Chebyshev-type initial guesses; deterministic and dependency-free.
+    Chebyshev-type initial guesses; deterministic and dependency-free. The
+    rule is computed once per n and returned as read-only arrays.
     """
     k = np.arange(n)
     x = np.cos(np.pi * (4 * k + 3) / (4 * n + 2))
@@ -112,7 +115,7 @@ def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     dpn = n * (x * pn - pm) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dpn * dpn)
     order = np.argsort(x)
-    return x[order], w[order]
+    return frozen_array(x[order]), frozen_array(w[order])
 
 
 def make_gauss_legendre_grid(interval, n: int, level: int = 1) -> Grid:

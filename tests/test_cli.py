@@ -5,6 +5,7 @@ import re
 import pytest
 
 from detchain.cli import main, parse_instance
+from detchain.instances import monomial_discrete_config
 
 from .conftest import CONFIG_DIR
 
@@ -69,6 +70,20 @@ def test_oracle_command_passes():
         assert run(["oracle", "--config", config_path(name)]) == 0
 
 
+@pytest.mark.parametrize("raw, reason", [
+    (None, "discrete grids"),
+    (monomial_discrete_config(1, 3, 2, (60, 60, 60)), "exceed the cap"),
+])
+def test_oracle_on_non_enumerable_instance_is_config_error(tmp_path, capsys, raw, reason):
+    path = config_path("gauss_chain")
+    if raw is not None:
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(raw))
+    assert run(["oracle", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and reason in err
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"chain": ')
@@ -115,6 +130,11 @@ def test_sample_outputs_are_byte_identical(tmp_path):
     out3 = tmp_path / "c.csv"
     assert run(["sample", "--config", path, "--out", out3, "--seed", "22"]) == 0
     assert out1.read_bytes() != out3.read_bytes()
+
+    # the parser is shared between calls: an earlier --seed must not stick
+    out4 = tmp_path / "d.csv"
+    assert run(["sample", "--config", path, "--out", out4]) == 0
+    assert out1.read_bytes() == out4.read_bytes()
 
 
 def test_counts_outputs_are_byte_identical(tmp_path):

@@ -257,9 +257,11 @@ def test_theorem2_residuals_zero_weights():
     tables, _ = random_discrete_instance(31, m=3, N=2)
     zeros = WeightSet.zeros(tables.grids)
     res = theorem2_residuals(tables, zeros)
+    # w = 0 leaves supp(mu w) empty: no column to solve for, nothing to compare
     assert res.resolvent == 0.0
     assert res.transfer_transfer == 0.0
     assert res.max_residual() <= 1e-12 * res.scale
+    assert g_resolvent_residual(tables, zeros) == 0.0
 
 
 def test_theorem2_residuals_random_weights():

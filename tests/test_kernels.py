@@ -141,21 +141,32 @@ def test_compose_matches_blockwise_sum():
     K = build_K(dual_bases(tables, zeros))
     g, gt = build_g(tables, zeros), build_g(tables, ws)
     assert len({float(v) for w in ws.w for v in w}) > 1
-    mw = [grid.weights * w for grid, w in zip(tables.grids, ws.w)]
+    # compose_w sums over supp(mu w) only: weights holding zeros, indicator
+    # weights and w = 0 (empty support) drop inner nodes
+    rng = np.random.default_rng(21)
+    holding_zeros = WeightSet(tuple(np.where(rng.random(w.size) < 0.4, 0.0, w)
+                                    for w in ws.w))
+    indicator = WeightSet(tuple((rng.random(w.size) < 0.5).astype(float) for w in ws.w))
+    for weights in (holding_zeros, indicator):
+        flat = np.concatenate(weights.w)
+        assert np.any(flat == 0) and np.any(flat != 0)
     eps = np.finfo(float).eps
-    for A, B in ((g, gt), (gt, g), (K, gt), (g, K)):
-        out = compose_w(A, ws, B)
-        for i in range(1, 4):
-            for k in range(1, 4):
-                terms = [(A.block(i, j) * mw[j - 1][None, :]) @ B.block(j, k)
-                         for j in range(1, 4)]
-                ref = sum(terms)
-                size = sum((np.abs(A.block(i, j)) * np.abs(mw[j - 1])[None, :])
-                           @ np.abs(B.block(j, k)) for j in range(1, 4))
-                # both sums run over the 12 inner nodes: 2 * 12 * eps per entry
-                assert np.all(np.abs(out.block(i, k) - ref) <= 24 * eps * size)
-                if A is not K and B is not K and i <= k + 1:
-                    assert not np.any(out.block(i, k))
+    for weights in (ws, holding_zeros, indicator, zeros):
+        mw = [grid.weights * w for grid, w in zip(tables.grids, weights.w)]
+        for A, B in ((g, gt), (gt, g), (K, gt), (g, K)):
+            out = compose_w(A, weights, B)
+            for i in range(1, 4):
+                for k in range(1, 4):
+                    terms = [(A.block(i, j) * mw[j - 1][None, :]) @ B.block(j, k)
+                             for j in range(1, 4)]
+                    ref = sum(terms)
+                    size = sum((np.abs(A.block(i, j)) * np.abs(mw[j - 1])[None, :])
+                               @ np.abs(B.block(j, k)) for j in range(1, 4))
+                    # both sums run over the 12 inner nodes: 2 * 12 * eps per
+                    # entry; entries with no support term are exactly 0
+                    assert np.all(np.abs(out.block(i, k) - ref) <= 24 * eps * size)
+                    if A is not K and B is not K and i <= k + 1:
+                        assert not np.any(out.block(i, k))
 
 
 def test_compose_rejects_mismatched_grids():

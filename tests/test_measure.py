@@ -12,6 +12,7 @@ from detchain import (
     integrate,
     make_discrete_grid,
     make_gauss_legendre_grid,
+    measure,
 )
 
 
@@ -106,3 +107,18 @@ def test_gauss_legendre_exact_on_polynomials(n, degree_offset):
     exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
     value = integrate(grid, grid.nodes**degree)
     assert abs(value - exact) <= 1e-13 * max(1.0, abs(exact))
+
+
+def test_legendre_rule_is_cached_read_only_and_unchanged(monkeypatch):
+    x, w = measure._legendre_nodes(24)
+    assert measure._legendre_nodes(24)[0] is x
+    for arr in (x, w):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    make_gauss_legendre_grid((-1.0, 1.0), 24, level=1)
+    cached = make_gauss_legendre_grid((0.5, 3.0), 24, level=2)
+    monkeypatch.setattr(measure, "_legendre_nodes", measure._legendre_nodes.__wrapped__)
+    fresh = make_gauss_legendre_grid((0.5, 3.0), 24, level=2)
+    assert cached.nodes.tobytes() == fresh.nodes.tobytes()
+    assert cached.weights.tobytes() == fresh.weights.tobytes()
