@@ -15,7 +15,6 @@ from .biortho import (
     pairing_expressions,
     pairing_matrix,
     plu_decompose,
-    tilde_propagator,
 )
 from .chain import (
     ChainSpec,
@@ -35,7 +34,6 @@ from .errors import (
     InvalidInterval,
     InvalidWeight,
     NotAProbability,
-    OrderError,
     OverlapError,
     ResolventSingular,
     ShapeError,
@@ -57,10 +55,12 @@ from .fredholm import (
 )
 from .kernels import (
     BlockKernel,
+    Dualization,
     build_K,
     build_g,
     check_kernel,
     compose_w,
+    dualize,
     factorization_residual,
     kernel_via_inverse,
 )
@@ -90,6 +90,7 @@ __all__ = [
     "DetchainError",
     "DomainError",
     "DualBases",
+    "Dualization",
     "DuplicateNode",
     "Enumeration",
     "Grid",
@@ -97,7 +98,6 @@ __all__ = [
     "InvalidInterval",
     "InvalidWeight",
     "NotAProbability",
-    "OrderError",
     "OverlapError",
     "PairingDecomposition",
     "ResolventSingular",
@@ -114,6 +114,7 @@ __all__ = [
     "configuration_weight",
     "correlation",
     "dual_bases",
+    "dualize",
     "empirical_gap",
     "enumerate_configurations",
     "factorization_residual",
@@ -141,5 +142,4 @@ __all__ = [
     "sample",
     "tabulate",
     "theorem2_residuals",
-    "tilde_propagator",
 ]

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainTables, WeightSet
-from .errors import (
-    CompositionInconsistency,
-    OrderError,
-    ShapeError,
-    SingularPairing,
-)
+from .errors import CompositionInconsistency, ShapeError, SingularPairing
 from .measure import Grid, frozen_array
 
 # condition number above which the pairing is treated as singular
@@ -56,24 +51,6 @@ def dual_masses(tables: ChainTables, weights: WeightSet) -> list[np.ndarray]:
     """Per level, the vector mu_j * (1 - w_j) every dual pairing integrates against."""
     _check_weights(tables, weights)
     return [g.weights * (1.0 - w) for g, w in zip(tables.grids, weights.w)]
-
-
-def tilde_propagator(tables: ChainTables, weights: WeightSet, k: int, j: int) -> np.ndarray:
-    """Composite transfer kernel from level j up to level k (1-based, k > j).
-
-    Consecutive transfer tables are chained with diag(mu_l * (1 - w_l))
-    inserted at each intermediate level l = j+1 .. k-1; for k = j + 1 the
-    stored single-step table is returned unchanged.
-    """
-    if not (1 <= j <= tables.m and 1 <= k <= tables.m):
-        raise ValueError(f"levels must lie in 1..{tables.m}")
-    if k <= j:
-        raise OrderError(f"composite transfer needs k > j, got k={k}, j={j}")
-    e = dual_masses(tables, weights)
-    out = tables.g_values[j - 1]
-    for level in range(j + 1, k):
-        out = tables.g_values[level - 1] @ (e[level - 1][:, None] * out)
-    return out
 
 
 def pairing_expressions(tables: ChainTables, weights: WeightSet) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +83,12 @@ def pairing_matrix(tables: ChainTables, weights: WeightSet) -> np.ndarray:
     """
     a1, am = pairing_expressions(tables, weights)
     scale = max(np.max(np.abs(a1)), np.max(np.abs(am)), np.finfo(float).tiny)
-    if np.max(np.abs(a1 - am)) > _DUAL_EXPRESSION_RTOL * scale:
+    diff, bound = np.max(np.abs(a1 - am)), _DUAL_EXPRESSION_RTOL * scale
+    if diff > bound:
         raise CompositionInconsistency(
-            "level-1 and level-m evaluations of the pairing matrix disagree; "
-            "the tabulated chain is inconsistent"
+            f"level-1 and level-m evaluations of the pairing matrix disagree by "
+            f"{diff:.3e} > {bound:.3e} (1e-11 of their largest entry); the tabulated "
+            "chain is inconsistent"
         )
     return a1
 
@@ -266,7 +245,8 @@ def dual_bases(tables: ChainTables, weights: WeightSet) -> DualBases:
     # this net is an assembly bug, not rounding
     if residual > _ASSEMBLY_NET:
         raise CompositionInconsistency(
-            f"biorthogonality residual {residual:.3e}; the assembly is broken"
+            f"biorthogonality residual {residual:.3e} exceeds the {_ASSEMBLY_NET:.0e} "
+            "net; the assembly is broken"
         )
     return DualBases(
         psi=tuple(psi),

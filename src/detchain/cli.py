@@ -24,7 +24,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .biortho import dual_bases, pairing_expressions
+from .biortho import pairing_expressions
 from .chain import (
     ChainSpec,
     ChainTables,
@@ -45,12 +45,12 @@ from .errors import (
 from .fredholm import (
     correlation,
     fredholm_det,
-    g_resolvent_residual,
     gap_generating_function,
     janossy,
-    theorem2_residuals,
+    resolvent_residual,
+    theorem2_residuals_of,
 )
-from .kernels import build_g, build_K, check_kernel, factorization_residual, kernel_via_inverse
+from .kernels import dualize, factorization_residual, kernel_via_inverse
 from .measure import make_discrete_grid, make_gauss_legendre_grid
 from .oracle import (
     enumerate_configurations,
@@ -367,13 +367,6 @@ def _verdicts(inst: InstanceConfig, rows, width: int, describe):
     return (0 if all(r[-1] == "pass" for r in judged) else 1), judged
 
 
-def _plain_kernel(inst: InstanceConfig):
-    bases = dual_bases(inst.tables, WeightSet.zeros(inst.tables.grids))
-    kernel = check_kernel(build_K(bases), build_g(inst.tables,
-                                                  WeightSet.zeros(inst.tables.grids)))
-    return bases, kernel
-
-
 # ---------------------------------------------------------------------------
 # commands: each prints its stdout and returns (exit code, CSV header, CSV rows)
 
@@ -381,18 +374,17 @@ def cmd_check(inst: InstanceConfig, args):
     tol = args.tol
     tables, weights = inst.tables, inst.weights
     zeros = WeightSet.zeros(tables.grids)
+    plain, dual = dualize(tables, zeros), dualize(tables, weights)
     rows = []
 
-    res = theorem2_residuals(tables, weights)
+    res = theorem2_residuals_of(tables, plain, dual)
     for name, value in res.as_dict().items():
         rows.append((f"identity_{name}", value, tol * res.scale))
-    rows.append(("transfer_resolvent", g_resolvent_residual(tables, weights),
+    rows.append(("transfer_resolvent", resolvent_residual(dual.g, weights, plain.g),
                  tol * res.scale))
 
-    plain_b = dual_bases(tables, zeros)
-    dual_b = dual_bases(tables, weights)
-    rows.append(("biorthogonality_plain", plain_b.biorthogonality_residual, tol))
-    rows.append(("biorthogonality_dual", dual_b.biorthogonality_residual, tol))
+    rows.append(("biorthogonality_plain", plain.bases.biorthogonality_residual, tol))
+    rows.append(("biorthogonality_dual", dual.bases.biorthogonality_residual, tol))
 
     for label, ws in (("plain", zeros), ("dual", weights)):
         a1, am = pairing_expressions(tables, ws)
@@ -400,18 +392,14 @@ def cmd_check(inst: InstanceConfig, args):
         rows.append((f"pairing_expressions_{label}",
                      float(np.max(np.abs(a1 - am))), 1e-11 * scale_a))
 
-    built = build_K(dual_b)
-    via_inverse = kernel_via_inverse(tables, weights)
-    diff = float(np.max(np.abs(built.matrix - via_inverse.matrix)))
-    kscale = max(1.0, built.max_abs())
-    rows.append(("construction_invariance", diff, 1e-12 * kscale))
+    diff = float(np.max(np.abs(dual.K.matrix
+                               - kernel_via_inverse(tables, weights).matrix)))
+    rows.append(("construction_invariance", diff, 1e-12 * max(1.0, dual.K.max_abs())))
 
-    for label, bas, ws in (("plain", plain_b, zeros), ("dual", dual_b, weights)):
-        kern = build_K(bas)
-        transfer = build_g(tables, ws)
+    for label, d, ws in (("plain", plain, zeros), ("dual", dual, weights)):
         rows.append((f"factorization_{label}",
-                     factorization_residual(kern, transfer, tables, ws),
-                     1e-11 * max(1.0, kern.max_abs())))
+                     factorization_residual(d.K, d.g, tables, ws),
+                     1e-11 * max(1.0, d.K.max_abs())))
 
     code, rows = _verdicts(inst, rows, 28,
                            lambda value, bound: f"residual={value:.3e}  bound={bound:.3e}")
@@ -419,8 +407,8 @@ def cmd_check(inst: InstanceConfig, args):
 
 
 def cmd_gap(inst: InstanceConfig, args):
-    _, kernel = _plain_kernel(inst)
-    value = fredholm_det(kernel, inst.weights)
+    value = fredholm_det(dualize(inst.tables, WeightSet.zeros(inst.tables.grids)).Kc,
+                         inst.weights)
     print(_fmt(value))
     return 0, ["quantity", "value"], [("gap_probability", value)]
 
@@ -429,7 +417,7 @@ def _at_points(inst: InstanceConfig, args, quantity: str, value_of):
     """One value of the plain checked kernel at the configured points."""
     if inst.task.points is None:
         raise ConfigError(f"{args.command} needs task.points in the config")
-    _, kernel = _plain_kernel(inst)
+    kernel = dualize(inst.tables, WeightSet.zeros(inst.tables.grids)).Kc
     value = value_of(kernel, inst.task.points)
     print(_fmt(value))
     points = json.dumps([list(p) for p in inst.task.points])
@@ -448,7 +436,7 @@ def cmd_correlate(inst: InstanceConfig, args):
 def cmd_counts(inst: InstanceConfig, args):
     if inst.weight_intervals is None:
         raise ConfigError("counts needs interval-type weights in the config")
-    _, kernel = _plain_kernel(inst)
+    kernel = dualize(inst.tables, WeightSet.zeros(inst.tables.grids)).Kc
     dist = gap_generating_function(kernel, inst.weight_intervals,
                                    max_count=inst.task.max_count)
     print(_fmt(dist.total))
@@ -464,10 +452,10 @@ def cmd_sample(inst: InstanceConfig, args):
     if args.seed is not None:
         cfg = SamplerConfig(steps=cfg.steps, burn_in=cfg.burn_in, seed=args.seed,
                             proposal=cfg.proposal)
-    bases, kernel = _plain_kernel(inst)
-    stream = sample(inst.tables, cfg, bases=bases)
+    plain = dualize(inst.tables, WeightSet.zeros(inst.tables.grids))
+    stream = sample(inst.tables, cfg, bases=plain.bases)
     estimate, stderr = empirical_gap(stream, inst.weights)
-    reference = fredholm_det(kernel, inst.weights)
+    reference = fredholm_det(plain.Kc, inst.weights)
     zscore = abs(estimate - reference) / stderr if stderr > 0 else 0.0
     print(f"empirical_gap {_fmt(estimate)}")
     print(f"stderr {_fmt(stderr)}")
@@ -478,9 +466,10 @@ def cmd_sample(inst: InstanceConfig, args):
 
 
 def cmd_oracle(inst: InstanceConfig, args):
-    bases, kernel = _plain_kernel(inst)
+    plain = dualize(inst.tables, WeightSet.zeros(inst.tables.grids))
+    kernel = plain.Kc
     try:
-        enum = enumerate_configurations(inst.tables, bases=bases)
+        enum = enumerate_configurations(inst.tables, bases=plain.bases)
     except ValueError as exc:
         raise ConfigError(f"oracle: {exc}") from exc
     rows = []

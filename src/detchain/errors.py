@@ -34,10 +34,6 @@ class OverlapError(DetchainError):
     """Indicator intervals on one level overlap."""
 
 
-class OrderError(DetchainError):
-    """Transfer composition requested with source level >= target level."""
-
-
 class CompositionInconsistency(DetchainError):
     """Two equivalent evaluations of the same pairing disagree beyond tolerance,
     signalling a broken tabulation."""

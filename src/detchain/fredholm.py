@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biortho import dual_bases, dual_masses
+from .biortho import dual_masses
 from .chain import ChainTables, WeightSet, indicator_vector
 from .errors import DomainError, ResolventSingular, ShapeError, StateError
 from .kernels import (
     BlockKernel,
+    Dualization,
     _lift_first,
     _lift_last,
     _max_abs_diff,
@@ -37,6 +38,7 @@ from .kernels import (
     build_g,
     check_kernel,
     compose_w,
+    dualize,
 )
 
 _RESOLVENT_DET_FLOOR = 1e-12
@@ -80,9 +82,11 @@ def _sampled_resolvent(Kc: BlockKernel, weights: WeightSet,
     S, MS, one_minus = _on_support(Kc, weights)
     scale = max(1.0, float(np.max(np.abs(MS), initial=0.0)))
     det = float(np.linalg.det(one_minus))
-    if abs(det) <= _RESOLVENT_DET_FLOOR * scale:
+    floor = _RESOLVENT_DET_FLOOR * scale
+    if abs(det) <= floor:
         raise ResolventSingular(
-            f"Fredholm determinant {det:.3e} vanishes; no resolvent"
+            f"Fredholm determinant {det:.3e} vanishes: |det| <= {floor:.3e}, the floor "
+            "1e-12 max(1, max|M|); no resolvent"
         )
     solved = np.linalg.solve(one_minus, Kc.matrix[np.ix_(S, idx)])
     return det, Kc.matrix[np.ix_(idx, idx)] + MS[idx] @ solved
@@ -292,8 +296,8 @@ class IdentityResiduals:
         return max(self.as_dict().values())
 
 
-def _resolvent_residual(kernel: BlockKernel, weights: WeightSet,
-                        expected: BlockKernel) -> float:
+def resolvent_residual(kernel: BlockKernel, weights: WeightSet,
+                       expected: BlockKernel) -> float:
     """max |(1 - kernel o w)^{-1} (kernel o w) - expected o w|.
 
     1 - M is factored in full as the reference; the right-hand sides are the
@@ -312,14 +316,18 @@ def theorem2_residuals(tables: ChainTables, weights: WeightSet) -> IdentityResid
     six residuals vanish up to rounding on every nonsingular instance, for
     arbitrary real weights.
     """
-    zeros = WeightSet.zeros(tables.grids)
-    K = build_K(dual_bases(tables, zeros))
-    g = build_g(tables, zeros)
-    Kt = build_K(dual_bases(tables, weights))
-    gt = build_g(tables, weights)
-    Kc, Ktc = check_kernel(K, g), check_kernel(Kt, gt)
+    return theorem2_residuals_of(tables, dualize(tables, WeightSet.zeros(tables.grids)),
+                                 dualize(tables, weights))
+
+
+def theorem2_residuals_of(tables: ChainTables, plain: Dualization,
+                          dual: Dualization) -> IdentityResiduals:
+    """``theorem2_residuals`` on ready dualizations: ``plain`` at w = 0, ``dual`` at w."""
+    weights = dual.bases.weight_set
+    K, g, Kt, gt = plain.K, plain.g, dual.K, dual.g
+    Kc, Ktc = plain.Kc, dual.Kc
     scale = max(1.0, Kc.max_abs(), Ktc.max_abs())
-    r_resolvent = _resolvent_residual(Kc, weights, Ktc)
+    r_resolvent = resolvent_residual(Kc, weights, Ktc)
     r_checked = _max_abs_diff(compose_w(Kc, weights, Ktc).matrix, Ktc.matrix - Kc.matrix)
     # the checked kernels are done; freeing them keeps check's peak memory down
     del Kc, Ktc
@@ -350,5 +358,5 @@ def g_resolvent_residual(tables: ChainTables, weights: WeightSet) -> float:
     Measures (1 - dual-g^w)^{-1} dual-g^w - g^w in max norm; both operators
     are strictly lower block triangular, so the inverse always exists.
     """
-    return _resolvent_residual(build_g(tables, weights), weights,
-                               build_g(tables, WeightSet.zeros(tables.grids)))
+    return resolvent_residual(build_g(tables, weights), weights,
+                              build_g(tables, WeightSet.zeros(tables.grids)))

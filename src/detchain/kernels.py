@@ -26,9 +26,9 @@ import numpy as np
 from .biortho import (
     DualBases,
     check_conditioning,
+    dual_bases,
     dual_masses,
     pairing_matrix,
-    tilde_propagator,
 )
 from .chain import ChainTables, WeightSet
 from .errors import ShapeError, StateError
@@ -86,12 +86,19 @@ def build_g(tables: ChainTables, weights: WeightSet) -> BlockKernel:
 
     Block (i, j), i > j, holds the level-j to level-i composite with
     diag(mu (1 - w)) at the intermediate levels; blocks with i <= j are zero.
+    Block (j + 1, j) is the stored transfer table g_j, and each block further
+    down carries the one above it a level up:
+    block(i, j) = g_{i-1} diag(e_{i-1}) block(i - 1, j), e = mu (1 - w).
     """
+    e = dual_masses(tables, weights)
     o = np.cumsum([0] + [g.size for g in tables.grids])
     matrix = np.zeros((o[-1], o[-1]))
     for i in range(2, tables.m + 1):
-        for j in range(1, i):
-            matrix[o[i - 1]:o[i], o[j - 1]:o[j]] = tilde_propagator(tables, weights, i, j)
+        step = tables.g_values[i - 2]
+        matrix[o[i - 1]:o[i], o[i - 2]:o[i - 1]] = step
+        for j in range(1, i - 1):
+            above = matrix[o[i - 2]:o[i - 1], o[j - 1]:o[j]]
+            matrix[o[i - 1]:o[i], o[j - 1]:o[j]] = step @ (e[i - 2][:, None] * above)
     return BlockKernel(matrix=matrix, grids=tables.grids, checked=True, rank=None)
 
 
@@ -103,6 +110,29 @@ def check_kernel(K: BlockKernel, g: BlockKernel) -> BlockKernel:
         raise ShapeError("kernel and transfer block counts differ")
     return BlockKernel(matrix=K.matrix - g.matrix, grids=K.grids, checked=True,
                        rank=K.rank)
+
+
+@dataclass(frozen=True)
+class Dualization:
+    """The dual bases, K and g of one chain against one weight set.
+
+    The checked kernel K - g is formed anew on each access of ``Kc`` and not
+    stored, so a caller holds it only while it needs it.
+    """
+
+    bases: DualBases
+    K: BlockKernel
+    g: BlockKernel
+
+    @property
+    def Kc(self) -> BlockKernel:
+        return check_kernel(self.K, self.g)
+
+
+def dualize(tables: ChainTables, weights: WeightSet) -> Dualization:
+    """Dualize the chain against ``weights``, building each part once."""
+    bases = dual_bases(tables, weights)
+    return Dualization(bases=bases, K=build_K(bases), g=build_g(tables, weights))
 
 
 def _same_grids(a: BlockKernel, b: BlockKernel) -> bool:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from detchain import (
-    OrderError,
+    CompositionInconsistency,
     SingularPairing,
     WeightSet,
+    build_g,
     build_K,
     dual_bases,
     from_indicators,
@@ -13,8 +14,8 @@ from detchain import (
     pairing_expressions,
     pairing_matrix,
     plu_decompose,
-    tilde_propagator,
 )
+from detchain import biortho
 from detchain.instances import random_discrete_instance
 
 from .conftest import seeded_chain, two_point_chain, uniform_weights
@@ -28,32 +29,21 @@ def ones_chain_m3():
 
 def test_single_step_is_returned_unchanged():
     tables = seeded_chain(5, m=3, n=2, sizes=(3, 4, 5))
-    ws = uniform_weights(tables, 6)
+    g = build_g(tables, uniform_weights(tables, 6))
     for j in range(1, tables.m):
-        np.testing.assert_array_equal(
-            tilde_propagator(tables, ws, j + 1, j), tables.g_values[j - 1]
-        )
+        np.testing.assert_array_equal(g.block(j + 1, j), tables.g_values[j - 1])
 
 
 def test_unit_weight_annihilates_composition():
     tables = ones_chain_m3()
     ws = WeightSet((np.zeros(2), np.ones(2), np.zeros(2)))
-    np.testing.assert_array_equal(tilde_propagator(tables, ws, 3, 1), np.zeros((2, 2)))
+    np.testing.assert_array_equal(build_g(tables, ws).block(3, 1), np.zeros((2, 2)))
 
 
 def test_all_ones_composite():
     tables = ones_chain_m3()
     ws = WeightSet.zeros(tables.grids)
-    np.testing.assert_array_equal(tilde_propagator(tables, ws, 3, 1), np.full((2, 2), 2.0))
-
-
-def test_wrong_order_rejected():
-    tables = ones_chain_m3()
-    ws = WeightSet.zeros(tables.grids)
-    with pytest.raises(OrderError):
-        tilde_propagator(tables, ws, 1, 3)
-    with pytest.raises(OrderError):
-        tilde_propagator(tables, ws, 2, 2)
+    np.testing.assert_array_equal(build_g(tables, ws).block(3, 1), np.full((2, 2), 2.0))
 
 
 def test_zero_weight_composite_matches_plain_products():
@@ -62,7 +52,7 @@ def test_zero_weight_composite_matches_plain_products():
     g21, g32 = tables.g_values
     mu2 = tables.grids[1].weights
     expected = g32 @ (mu2[:, None] * g21)
-    np.testing.assert_array_equal(tilde_propagator(tables, zeros, 3, 1), expected)
+    np.testing.assert_array_equal(build_g(tables, zeros).block(3, 1), expected)
 
 
 def test_indicator_composite_matches_mask_and_compose():
@@ -75,7 +65,7 @@ def test_indicator_composite_matches_mask_and_compose():
     g21, g32 = tables.g_values
     mu2 = tables.grids[1].weights
     reference = g32[:, keep] @ (mu2[keep, None] * g21[keep, :])
-    np.testing.assert_allclose(tilde_propagator(tables, ws, 3, 1), reference,
+    np.testing.assert_allclose(build_g(tables, ws).block(3, 1), reference,
                                rtol=0, atol=1e-12)
 
 
@@ -89,6 +79,15 @@ def test_pairing_trivial_examples():
     np.testing.assert_allclose(A, [[0.0]])
     with pytest.raises(SingularPairing):
         plu_decompose(A)
+
+
+def test_inconsistent_pairing_expressions_are_refused_with_their_gap(monkeypatch):
+    tables = two_point_chain()
+    monkeypatch.setattr(biortho, "pairing_expressions",
+                        lambda t, w: (np.array([[2.0]]), np.array([[2.0 + 1e-9]])))
+    with pytest.raises(CompositionInconsistency,
+                       match=r"disagree by 1\.000e-09 > 2\.000e-11 \(1e-11 of"):
+        pairing_matrix(tables, WeightSet.zeros(tables.grids))
 
 
 def test_pairing_expressions_agree_on_seeded_instance():
@@ -167,6 +166,15 @@ def test_dual_bases_biorthogonality_on_seeded_instance():
         e = tables.grids[level].weights * (1 - ws.w[level])
         gram = (bases.psi[level] * e) @ bases.phi[level].T
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-10, rtol=0)
+
+
+def test_broken_assembly_is_refused_with_residual_and_net(monkeypatch):
+    # no float64 assembly leaves a residual of 1e-20, so any instance trips this net
+    tables = seeded_chain(51, m=3, n=2, sizes=(5, 5, 5))
+    monkeypatch.setattr(biortho, "_ASSEMBLY_NET", 1e-20)
+    with pytest.raises(CompositionInconsistency,
+                       match=r"residual \d\.\d{3}e-\d\d exceeds the 1e-20 net"):
+        dual_bases(tables, uniform_weights(tables, 52, high=0.5))
 
 
 def test_zero_weights_reduce_to_plain_construction():

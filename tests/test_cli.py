@@ -1,13 +1,15 @@
 import csv
 import json
 import re
+import sys
 
 import pytest
 
+import detchain
 from detchain.cli import main, parse_instance
 from detchain.instances import monomial_discrete_config
 
-from .conftest import CONFIG_DIR
+from .conftest import CONFIG_DIR, REPO_ROOT
 
 
 def run(args):
@@ -277,3 +279,57 @@ def test_csv_header_and_stdout_agree(tmp_path, capsys, command):
                 assert detail.startswith(f"residual={float(r['residual']):.3e}")
             else:
                 assert detail.startswith(f"oracle={r['oracle']} library={r['library']}")
+
+
+BUILDERS = ("dual_bases", "plu_decompose", "build_K", "build_g")
+
+
+def count_builders(monkeypatch):
+    """Count the calls of each builder, including those made inside detchain."""
+    counts = dict.fromkeys(BUILDERS, 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    modules = [mod for key, mod in sys.modules.items() if key.split(".")[0] == "detchain"]
+    for name in BUILDERS:
+        original = getattr(detchain, name)
+        wrapper = counting(name, original)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["discrete_m3n2", "gauss_chain"])
+def test_check_builds_each_weight_set_once(monkeypatch, capsys, name):
+    counts = count_builders(monkeypatch)
+    assert run(["check", "--config", config_path(name)]) == 0
+    # one dualization for w = 0 and one for w; the third g is the one
+    # kernel_via_inverse builds for itself as the independent reference
+    assert counts == {"dual_bases": 2, "plu_decompose": 2, "build_K": 2, "build_g": 3}
+
+
+@pytest.mark.parametrize("command", ["gap", "janossy", "correlate", "counts", "sample",
+                                     "oracle"])
+def test_other_commands_build_one_plain_dualization(tmp_path, monkeypatch, capsys,
+                                                     command):
+    cfg = json.loads(config_path("discrete_m3n2").read_text())
+    cfg["task"]["sampler"] = {"steps": 200, "burn_in": 20, "seed": 3}
+    path = tmp_path / "m3n2.json"
+    path.write_text(json.dumps(cfg))
+    counts = count_builders(monkeypatch)
+    assert run([command, "--config", path]) == 0
+    assert counts == dict.fromkeys(BUILDERS, 1)
+
+
+def test_readme_library_sketch_runs(capsys):
+    readme = (REPO_ROOT / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    exec(compile(sketch.split("```", 1)[0], "README.md", "exec"), {})
+    gap, residuals = capsys.readouterr().out.splitlines()
+    assert 0.0 < float(gap) < 1.0
+    assert residuals.startswith("IdentityResiduals(")

@@ -92,7 +92,7 @@ def test_resolvent_scalar_geometric_series():
 def test_resolvent_singular_rejected():
     tables = two_point_chain()
     _, Kc = checked_kernel(tables)
-    with pytest.raises(ResolventSingular):
+    with pytest.raises(ResolventSingular, match=r"<= 1\.000e-12, the floor 1e-12 max"):
         resolvent(Kc, WeightSet.ones(tables.grids))
 
 

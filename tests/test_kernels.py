@@ -17,7 +17,7 @@ from detchain import (
 )
 from detchain.instances import random_discrete_instance
 
-from .conftest import seeded_chain, two_point_chain
+from .conftest import seeded_chain, two_point_chain, uniform_weights
 
 
 def plain_parts(tables):
@@ -77,6 +77,20 @@ def test_build_g_three_levels_plain_composite():
     g21, g32 = tables.g_values
     mu2 = tables.grids[1].weights
     np.testing.assert_allclose(g.block(3, 1), g32 @ (mu2[:, None] * g21), rtol=1e-14)
+
+
+def test_build_g_four_levels_carries_blocks_up_one_level_at_a_time():
+    # two intermediate levels, soft weights: the composites are the products
+    # g diag(e) g diag(e) g, e = mu (1 - w), taken from the source level up
+    tables = seeded_chain(19, m=4, n=2, sizes=(3, 4, 5, 4))
+    ws = uniform_weights(tables, 20)
+    g = build_g(tables, ws)
+    g21, g32, g43 = tables.g_values
+    e2, e3 = (grid.weights * (1.0 - w) for grid, w in zip(tables.grids[1:3], ws.w[1:3]))
+    g31 = g32 @ (e2[:, None] * g21)
+    np.testing.assert_array_equal(g.block(3, 1), g31)
+    np.testing.assert_array_equal(g.block(4, 1), g43 @ (e3[:, None] * g31))
+    np.testing.assert_array_equal(g.block(4, 2), g43 @ (e3[:, None] * g32))
 
 
 def test_check_kernel_subtracts_lower_blocks_only():
