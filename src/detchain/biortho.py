@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainTables, WeightSet
+from .chain import ChainTables, WeightSet, check_weights
 from .errors import CompositionInconsistency, ShapeError, SingularPairing
 from .measure import Grid, frozen_array
 
@@ -36,20 +36,9 @@ _DUAL_EXPRESSION_RTOL = 1e-11
 _ASSEMBLY_NET = 1e-8
 
 
-def _check_weights(tables: ChainTables, weights: WeightSet) -> None:
-    if weights.m != tables.m:
-        raise ShapeError(f"{weights.m} weight vectors for {tables.m} levels")
-    for grid, w in zip(tables.grids, weights.w):
-        if w.size != grid.size:
-            raise ShapeError(
-                f"level {grid.level_index}: weight vector of length {w.size} "
-                f"on a grid of size {grid.size}"
-            )
-
-
 def dual_masses(tables: ChainTables, weights: WeightSet) -> list[np.ndarray]:
     """Per level, the vector mu_j * (1 - w_j) every dual pairing integrates against."""
-    _check_weights(tables, weights)
+    check_weights(tables.grids, weights)
     return [g.weights * (1.0 - w) for g, w in zip(tables.grids, weights.w)]
 
 
@@ -75,12 +64,9 @@ def pairing_expressions(tables: ChainTables, weights: WeightSet) -> tuple[np.nda
     return a_level1, a_levelm
 
 
-def pairing_matrix(tables: ChainTables, weights: WeightSet) -> np.ndarray:
-    """Weighted pairing matrix A^w with the mandatory dual-expression check.
-
-    Raises CompositionInconsistency when the level-1 and level-m evaluations
-    disagree by more than 1e-11 relative.
-    """
+def _judged_pairing(tables: ChainTables, weights: WeightSet) -> tuple[np.ndarray, float]:
+    """A^w and max|a1 - am|, the gap between its two expressions; a gap above
+    1e-11 of their largest entry raises CompositionInconsistency."""
     a1, am = pairing_expressions(tables, weights)
     scale = max(np.max(np.abs(a1)), np.max(np.abs(am)), np.finfo(float).tiny)
     diff, bound = np.max(np.abs(a1 - am)), _DUAL_EXPRESSION_RTOL * scale
@@ -90,7 +76,12 @@ def pairing_matrix(tables: ChainTables, weights: WeightSet) -> np.ndarray:
             f"{diff:.3e} > {bound:.3e} (1e-11 of their largest entry); the tabulated "
             "chain is inconsistent"
         )
-    return a1
+    return a1, float(diff)
+
+
+def pairing_matrix(tables: ChainTables, weights: WeightSet) -> np.ndarray:
+    """Weighted pairing matrix A^w, refused as ``_judged_pairing`` refuses it."""
+    return _judged_pairing(tables, weights)[0]
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,8 @@ class DualBases:
     ``psi[j]`` and ``phi[j]`` are N x n_{j+1} in 0-based storage; row a of
     ``psi[j]`` holds psi_a at the level-(j+1) nodes. The level-j pairing of
     psi_a against phi_b with the (1 - w_j) dmu_j measure is delta_ab;
-    ``biorthogonality_residual`` stores the worst deviation actually measured.
+    ``biorthogonality_residual`` stores the worst deviation actually measured,
+    ``expression_gap`` the max|a1 - am| of the pairing matrix's two expressions.
     """
 
     psi: tuple[np.ndarray, ...]
@@ -197,15 +189,12 @@ class DualBases:
     weight_set: WeightSet
     grids: tuple[Grid, ...]
     biorthogonality_residual: float
+    expression_gap: float
 
     def __post_init__(self):
         object.__setattr__(self, "psi", tuple(frozen_array(p) for p in self.psi))
         object.__setattr__(self, "phi", tuple(frozen_array(p) for p in self.phi))
         object.__setattr__(self, "grids", tuple(self.grids))
-
-    @property
-    def m(self) -> int:
-        return len(self.psi)
 
     @property
     def N(self) -> int:
@@ -224,7 +213,7 @@ def dual_bases(tables: ChainTables, weights: WeightSet) -> DualBases:
     residual is verified on every level (enforced at 1e-10 while the pairing
     matrix has condition number at most 1e8).
     """
-    A = pairing_matrix(tables, weights)
+    A, gap = _judged_pairing(tables, weights)
     dec = plu_decompose(A)
     e = dual_masses(tables, weights)
     m = tables.m
@@ -255,4 +244,5 @@ def dual_bases(tables: ChainTables, weights: WeightSet) -> DualBases:
         weight_set=weights,
         grids=tables.grids,
         biorthogonality_residual=residual,
+        expression_gap=gap,
     )

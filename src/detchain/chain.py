@@ -161,10 +161,6 @@ class ChainTables:
     def N(self) -> int:
         return int(self.f_values.shape[0])
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(g.size for g in self.grids)
-
 
 @dataclass(frozen=True)
 class WeightSet:
@@ -198,6 +194,36 @@ class WeightSet:
     @property
     def m(self) -> int:
         return len(self.w)
+
+
+def check_weights(grids, weights: WeightSet) -> None:
+    """Raise ShapeError unless ``weights`` holds one vector per grid, of the grid's size."""
+    if weights.m != len(grids):
+        raise ShapeError(f"{weights.m} weight vectors for {len(grids)} levels")
+    for grid, w in zip(grids, weights.w):
+        if w.size != grid.size:
+            raise ShapeError(
+                f"level {grid.level_index}: weight vector of length {w.size} "
+                f"on a grid of size {grid.size}"
+            )
+
+
+def point_lists(grids, points, limit: int | None = None) -> list[list[int]]:
+    """``points`` as int lists: one per grid, at most ``limit`` (if given) per level,
+    each index inside its grid; else ShapeError, ValueError or IndexError."""
+    if len(points) != len(grids):
+        raise ShapeError(f"need one point list per level, got {len(points)} for "
+                         f"{len(grids)} levels")
+    lists = [[int(p) for p in pts] for pts in points]
+    for grid, lst in zip(grids, lists):
+        if limit is not None and len(lst) > limit:
+            raise ValueError(f"{len(lst)} points on level {grid.level_index} "
+                             f"exceed N = {limit}")
+        for p in lst:
+            if not 0 <= p < grid.size:
+                raise IndexError(f"node index {p} out of range on level "
+                                 f"{grid.level_index} ({grid.size} nodes)")
+    return lists
 
 
 def tabulate(spec: ChainSpec, grids) -> ChainTables:

@@ -18,20 +18,22 @@ import csv
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
-from .biortho import pairing_expressions
 from .chain import (
     ChainSpec,
     ChainTables,
     WeightSet,
+    check_weights,
     from_indicators,
     from_tables,
     indicator_vector,
+    point_lists,
     tabulate,
 )
 from .errors import (
@@ -44,6 +46,7 @@ from .errors import (
 )
 from .fredholm import (
     correlation,
+    count_degrees,
     fredholm_det,
     gap_generating_function,
     janossy,
@@ -217,6 +220,15 @@ def _digest(raw: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+@contextmanager
+def _field(path: str, name: str):
+    """Turn a library refusal inside the block into a ConfigError naming the field."""
+    try:
+        yield
+    except (ShapeError, IndexError, ValueError) as exc:
+        raise ConfigError(f"{path}: field {name}: {exc}") from exc
+
+
 def parse_instance(raw: dict, path: str = "<config>") -> InstanceConfig:
     """Validate a raw config dict against the schema and assemble the instance."""
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
@@ -265,12 +277,8 @@ def parse_instance(raw: dict, path: str = "<config>") -> InstanceConfig:
         elif "vectors" in weights_cfg:
             weights = WeightSet(tuple(np.asarray(v, dtype=float)
                                       for v in weights_cfg["vectors"]))
-            if any(w.size != g.size for w, g in zip(weights.w, grids)):
-                raise ConfigError(f"{path}: field weights/vectors: lengths do not "
-                                  "match the grids")
-            if len(weights.w) != m:
-                raise ConfigError(f"{path}: field weights/vectors: expected {m} "
-                                  "vectors")
+            with _field(path, "weights/vectors"):
+                check_weights(grids, weights)
         else:
             weight_intervals = tuple(
                 tuple((float(a), float(b)) for a, b in level)
@@ -291,24 +299,14 @@ def parse_instance(raw: dict, path: str = "<config>") -> InstanceConfig:
                                     seed=sc.get("seed", 0))
     points = None
     if "points" in task_cfg:
-        points = tuple(tuple(int(i) for i in lvl) for lvl in task_cfg["points"])
-        if len(points) != m:
-            raise ConfigError(f"{path}: field task/points: expected {m} point lists, "
-                              f"got {len(points)}")
-        for level, (pts, grid) in enumerate(zip(points, grids), start=1):
-            if len(pts) > n_rank:
-                raise ConfigError(f"{path}: field task/points: {len(pts)} points on "
-                                  f"level {level} exceed N = {n_rank}")
-            if pts and max(pts) >= grid.size:
-                raise ConfigError(f"{path}: field task/points: node index {max(pts)} "
-                                  f"out of range on level {level} ({grid.size} nodes)")
+        with _field(path, "task/points"):
+            points = tuple(map(tuple, point_lists(grids, task_cfg["points"], n_rank)))
     max_count = task_cfg.get("max_count")
     if max_count is not None and weight_intervals is not None:
-        for level, (grid, ivs) in enumerate(zip(grids, weight_intervals), start=1):
-            bound = min(n_rank, int(indicator_vector(grid, ivs).sum()))
-            if max_count < bound:
-                raise ConfigError(f"{path}: field task/max_count: {max_count} is below "
-                                  f"{bound}, the largest count possible on level {level}")
+        with _field(path, "task/max_count"):
+            count_degrees(n_rank, [int(indicator_vector(grid, ivs).sum())
+                                   for grid, ivs in zip(grids, weight_intervals)],
+                          max_count)
     task = TaskSpec(points=points, max_count=max_count, sampler=sampler_cfg)
     return InstanceConfig(
         spec=spec,
@@ -386,11 +384,10 @@ def cmd_check(inst: InstanceConfig, args):
     rows.append(("biorthogonality_plain", plain.bases.biorthogonality_residual, tol))
     rows.append(("biorthogonality_dual", dual.bases.biorthogonality_residual, tol))
 
-    for label, ws in (("plain", zeros), ("dual", weights)):
-        a1, am = pairing_expressions(tables, ws)
-        scale_a = max(1.0, float(np.max(np.abs(a1))))
-        rows.append((f"pairing_expressions_{label}",
-                     float(np.max(np.abs(a1 - am))), 1e-11 * scale_a))
+    for label, d in (("plain", plain), ("dual", dual)):
+        scale_a = max(1.0, float(np.max(np.abs(d.bases.decomposition.A))))
+        rows.append((f"pairing_expressions_{label}", d.bases.expression_gap,
+                     1e-11 * scale_a))
 
     diff = float(np.max(np.abs(dual.K.matrix
                                - kernel_via_inverse(tables, weights).matrix)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biortho import dual_masses
-from .chain import ChainTables, WeightSet, indicator_vector
+from .chain import ChainTables, WeightSet, indicator_vector, point_lists
 from .errors import DomainError, ResolventSingular, ShapeError, StateError
 from .kernels import (
     BlockKernel,
@@ -104,23 +104,15 @@ def resolvent(Kc: BlockKernel, weights: WeightSet) -> BlockKernel:
     return BlockKernel(matrix=matrix, grids=Kc.grids, checked=True, rank=Kc.rank)
 
 
-def _node_index(kernel: BlockKernel, points) -> np.ndarray:
-    """Indices into the kernel's matrix of per-level node lists, checked per grid."""
-    if len(points) != kernel.m:
-        raise ShapeError(f"need one point list per level, got {len(points)} for {kernel.m}")
-    idx = []
-    for level, pts in enumerate(points):
-        for p in pts:
-            p = int(p)
-            if not 0 <= p < kernel.grids[level].size:
-                raise IndexError(f"node index {p} out of range on level {level + 1}")
-            idx.append(kernel.offsets[level] + p)
-    return np.array(idx, dtype=int)
+def _node_index(kernel: BlockKernel, lists) -> np.ndarray:
+    """Indices into the kernel's matrix of checked per-level node lists."""
+    return np.array([kernel.offsets[level] + p for level, pts in enumerate(lists)
+                     for p in pts], dtype=int)
 
 
-def _sample_matrix(kernel: BlockKernel, points) -> np.ndarray:
+def _sample_matrix(kernel: BlockKernel, points, limit: int | None = None) -> np.ndarray:
     """Cross-level sample matrix kernel(x_a^(i), x_b^(j)) over the point lists."""
-    idx = _node_index(kernel, points)
+    idx = _node_index(kernel, point_lists(kernel.grids, points, limit))
     return kernel.matrix[np.ix_(idx, idx)]
 
 
@@ -131,13 +123,7 @@ def correlation(Kc: BlockKernel, points) -> float:
     (at most the kernel rank per level). The empty point set gives 1.
     """
     _require_checked(Kc)
-    if Kc.rank is not None:
-        for level, pts in enumerate(points):
-            if len(pts) > Kc.rank:
-                raise ValueError(
-                    f"level {level + 1}: {len(pts)} points exceeds rank {Kc.rank}"
-                )
-    S = _sample_matrix(Kc, points)
+    S = _sample_matrix(Kc, points, Kc.rank)
     if S.shape[0] == 0:
         return 1.0
     return float(np.linalg.det(S))
@@ -154,14 +140,14 @@ def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
     _require_checked(Kc)
     if not weights.is_indicator():
         raise ValueError("Janossy densities are defined for indicator weight sets")
-    idx = _node_index(Kc, points)
-    for level, pts in enumerate(points):
+    lists = point_lists(Kc.grids, points)
+    for level, pts in enumerate(lists):
         for p in pts:
-            if weights.w[level][int(p)] != 1.0:
+            if weights.w[level][p] != 1.0:
                 raise DomainError(
                     f"point {p} on level {level + 1} lies outside the indicator set"
                 )
-    const, R = _sampled_resolvent(Kc, weights, idx)
+    const, R = _sampled_resolvent(Kc, weights, _node_index(Kc, lists))
     return const * float(np.linalg.det(R))
 
 
@@ -208,6 +194,20 @@ class CountDistribution:
         return self.probabilities.get(tuple(int(c) for c in counts), 0.0)
 
 
+def count_degrees(rank: int | None, sizes, max_count: int | None = None) -> list[int]:
+    """Per level, the count table's degree d_j = min(N, |S_j|), |S_j| = ``sizes[j]``.
+
+    |S_j| alone when the rank N is None. ``max_count`` raises d_j to
+    min(max_count, |S_j|); below d_j it would alias, and raises ValueError.
+    """
+    degrees = list(sizes) if rank is None else [min(rank, s) for s in sizes]
+    for level, d in enumerate(degrees, start=1):
+        if max_count is not None and max_count < d:
+            raise ValueError(f"max_count {max_count} is below {d}, the largest "
+                             f"count that can occur on level {level}")
+    return degrees if max_count is None else [min(int(max_count), s) for s in sizes]
+
+
 def gap_generating_function(Kc: BlockKernel, intervals, max_count: int | None = None) -> CountDistribution:
     """Count distribution by a discrete Fourier transform of its generating function.
 
@@ -218,8 +218,7 @@ def gap_generating_function(Kc: BlockKernel, intervals, max_count: int | None = 
     det(1 - M_SS diag(1 - xi)) with each xi_j at the (d_j + 1)-th roots of
     unity and applying the inverse DFT recovers the probabilities; of each
     conjugate pair of root tuples only one needs a determinant.
-    ``max_count`` raises d_j up to |S_j|; a value below min(N, |S_j|) would
-    alias the distribution and is refused.
+    ``max_count`` raises d_j up to |S_j| (see ``count_degrees``).
     """
     m = Kc.m
     if len(intervals) != m:
@@ -227,14 +226,7 @@ def gap_generating_function(Kc: BlockKernel, intervals, max_count: int | None = 
     chi = [indicator_vector(g, ivs) for g, ivs in zip(Kc.grids, intervals)]
     S, MS, _ = _on_support(Kc, WeightSet(tuple(chi)))
     sizes = [int(c.sum()) for c in chi]
-    degrees = sizes if Kc.rank is None else [min(Kc.rank, s) for s in sizes]
-    if max_count is not None:
-        for level, d in enumerate(degrees, start=1):
-            if max_count < d:
-                raise ValueError(f"max_count {max_count} is below {d}, the largest "
-                                 f"count that can occur on level {level}")
-        degrees = [min(int(max_count), s) for s in sizes]
-    shape = tuple(d + 1 for d in degrees)
+    shape = tuple(d + 1 for d in count_degrees(Kc.rank, sizes, max_count))
     MSS = MS[S]
     coeffs = np.empty(shape, dtype=complex)
     for idx in np.ndindex(shape):

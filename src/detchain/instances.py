@@ -20,13 +20,12 @@ from .measure import make_discrete_grid, make_gauss_legendre_grid
 
 
 def random_discrete_instance(seed, *, m=None, N=None, sizes=None,
-                             w_low=0.0, w_high=0.9, indicator=False,
-                             max_condition=1e8) -> tuple[ChainTables, WeightSet]:
-    """Random discrete instance with cond(A), cond(A^w) <= max_condition.
+                             indicator=False) -> tuple[ChainTables, WeightSet]:
+    """Random discrete instance with cond(A), cond(A^w) <= 1e8.
 
     Unspecified shape parameters are drawn per attempt: m, N in 1..3 and
     grid sizes in 3..6. ``indicator=True`` draws 0/1 weights instead of
-    uniform values in [w_low, w_high].
+    uniform values in [0, 0.9].
     """
     rng = np.random.default_rng(seed)
     for _ in range(500):
@@ -49,14 +48,14 @@ def random_discrete_instance(seed, *, m=None, N=None, sizes=None,
         if indicator:
             w = tuple((rng.random(n) < 0.5).astype(float) for n in szs)
         else:
-            w = tuple(rng.uniform(w_low, w_high, n) for n in szs)
+            w = tuple(rng.uniform(0.0, 0.9, n) for n in szs)
         weights = WeightSet(w)
         try:
             plain = pairing_matrix(tables, WeightSet.zeros(grids))
             dualized = pairing_matrix(tables, weights)
         except CompositionInconsistency:  # pragma: no cover - defensive
             continue
-        if max(np.linalg.cond(plain), np.linalg.cond(dualized)) <= max_condition:
+        if max(np.linalg.cond(plain), np.linalg.cond(dualized)) <= 1e8:
             return tables, weights
     raise RuntimeError("failed to draw a well-conditioned instance")
 

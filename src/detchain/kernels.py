@@ -30,7 +30,7 @@ from .biortho import (
     dual_masses,
     pairing_matrix,
 )
-from .chain import ChainTables, WeightSet
+from .chain import ChainTables, WeightSet, check_weights
 from .errors import ShapeError, StateError
 from .measure import Grid, frozen_array
 
@@ -146,8 +146,7 @@ def _same_grids(a: BlockKernel, b: BlockKernel) -> bool:
 
 def _measure_weights(grids, weights: WeightSet) -> np.ndarray:
     """The diagonal of diag(mu_j * w_j) over all levels, as one vector."""
-    if weights.m != len(grids):
-        raise ShapeError(f"{weights.m} weight vectors for {len(grids)} levels")
+    check_weights(grids, weights)
     return np.concatenate([g.weights * w for g, w in zip(grids, weights.w)])
 
 

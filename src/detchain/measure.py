@@ -88,6 +88,14 @@ class Grid:
         return int(self.nodes.size)
 
 
+def _legendre(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    pm, pn = np.zeros_like(x), np.ones_like(x)
+    for deg in range(1, n + 1):
+        pm, pn = pn, ((2 * deg - 1) * x * pn - (deg - 1) * pm) / deg
+    return pn, n * (x * pn - pm) / (x * x - 1.0)
+
+
 @functools.lru_cache(maxsize=16)
 def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of n-point Gauss-Legendre quadrature on [-1, 1].
@@ -98,21 +106,14 @@ def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     k = np.arange(n)
     x = np.cos(np.pi * (4 * k + 3) / (4 * n + 2))
-    dpn = np.ones_like(x)
     for _ in range(_NEWTON_MAX_ITER):
-        pm, pn = np.zeros_like(x), np.ones_like(x)
-        for deg in range(1, n + 1):
-            pm, pn = pn, ((2 * deg - 1) * x * pn - (deg - 1) * pm) / deg
-        dpn = n * (x * pn - pm) / (x * x - 1.0)
+        pn, dpn = _legendre(x, n)
         dx = pn / dpn
         x = x - dx
         if np.max(np.abs(dx)) <= _NEWTON_TOL:
             break
-    # one final polynomial evaluation so the weights use the converged nodes
-    pm, pn = np.zeros_like(x), np.ones_like(x)
-    for deg in range(1, n + 1):
-        pm, pn = pn, ((2 * deg - 1) * x * pn - (deg - 1) * pm) / deg
-    dpn = n * (x * pn - pm) / (x * x - 1.0)
+    # one final evaluation so the weights use the converged nodes
+    dpn = _legendre(x, n)[1]
     w = 2.0 / ((1.0 - x * x) * dpn * dpn)
     order = np.argsort(x)
     return frozen_array(x[order]), frozen_array(w[order])

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .biortho import DualBases, dual_bases
-from .chain import ChainTables, WeightSet, indicator_vector
+from .chain import ChainTables, WeightSet, indicator_vector, point_lists
 from .errors import NotAProbability, ShapeError
 from .fredholm import CountDistribution
 from .kernels import BlockKernel
@@ -83,11 +83,11 @@ class Enumeration:
         return float(np.einsum(spec, self.prob, *selectors))
 
 
-def enumerate_configurations(tables: ChainTables, bases: DualBases | None = None,
-                             max_configurations: int = MAX_CONFIGURATIONS) -> Enumeration:
+def enumerate_configurations(tables: ChainTables,
+                             bases: DualBases | None = None) -> Enumeration:
     """Enumerate all labeled configurations of a discrete instance.
 
-    Refuses instances with more than ``max_configurations`` labeled tuples.
+    Refuses instances with more than MAX_CONFIGURATIONS labeled tuples.
     ``bases`` may pass in precomputed plain dual bases; they are rebuilt with
     zero weights otherwise.
     """
@@ -97,9 +97,9 @@ def enumerate_configurations(tables: ChainTables, bases: DualBases | None = None
     total = 1
     for g in tables.grids:
         total *= g.size ** n
-    if total > max_configurations:
+    if total > MAX_CONFIGURATIONS:
         raise ValueError(
-            f"{total} labeled configurations exceed the cap {max_configurations}"
+            f"{total} labeled configurations exceed the cap {MAX_CONFIGURATIONS}"
         )
     if bases is None:
         bases = dual_bases(tables, WeightSet.zeros(tables.grids))
@@ -134,23 +134,10 @@ def enumerate_configurations(tables: ChainTables, bases: DualBases | None = None
     return Enumeration(tables=tables, bases=bases, tuples=tuples, weights=weights)
 
 
-def _point_lists(enum: Enumeration, points) -> list[list[int]]:
-    if len(points) != enum.m:
-        raise ShapeError(f"need one point list per level, got {len(points)}")
-    out = []
-    for level, pts in enumerate(points):
-        lst = [int(p) for p in pts]
-        for p in lst:
-            if not 0 <= p < enum.tables.grids[level].size:
-                raise IndexError(f"node index {p} out of range on level {level + 1}")
-        out.append(lst)
-    return out
-
-
 def oracle_correlation(enum: Enumeration, points) -> float:
     """Correlation density: probability that all listed nodes are occupied,
     divided by the masses of the listed nodes."""
-    pts = _point_lists(enum, points)
+    pts = point_lists(enum.tables.grids, points)
     if all(len(p) == 0 for p in pts):
         return 1.0
     for p in pts:
@@ -180,7 +167,7 @@ def oracle_gap(enum: Enumeration, weights: WeightSet) -> float:
 def oracle_janossy(enum: Enumeration, weights: WeightSet, points) -> float:
     """Density of the configurations whose restriction to each indicator set
     is exactly the given point multiset."""
-    pts = _point_lists(enum, points)
+    pts = point_lists(enum.tables.grids, points)
     selectors = []
     mass = 1.0
     for level, p in enumerate(pts):

@@ -127,7 +127,8 @@ def test_criterion_3_biorthogonality_and_invariance(instance_set):
         ):
             other = type(bases)(psi=psi, phi=phi, decomposition=bases.decomposition,
                                 weight_set=bases.weight_set, grids=bases.grids,
-                                biorthogonality_residual=bases.biorthogonality_residual)
+                                biorthogonality_residual=bases.biorthogonality_residual,
+                                expression_gap=bases.expression_gap)
             rebuilt = build_K(other)
             diff = max(
                 float(np.max(np.abs(kernel.block(i, j) - rebuilt.block(i, j))))

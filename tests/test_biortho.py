@@ -204,6 +204,7 @@ def test_sign_flips_leave_kernels_unchanged():
             weight_set=bases.weight_set,
             grids=bases.grids,
             biorthogonality_residual=bases.biorthogonality_residual,
+            expression_gap=bases.expression_gap,
         )
         other = build_K(flipped)
         for i in range(1, tables.m + 1):

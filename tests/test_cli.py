@@ -109,6 +109,44 @@ def test_semantic_config_error_exits_2(tmp_path, capsys):
     assert run(["gap", "--config", path]) == 2
 
 
+def _tabulated_with_one_row(cfg):
+    """discrete_m1n2 as a tabulated family whose f and h have one row for N = 2."""
+    tables = parse_instance(cfg).tables
+    cfg["chain"] = {"family": "tabulated", "m": 1, "N": 2, "tables": {
+        "f": tables.f_values[:1].tolist(), "h": tables.h_values[:1].tolist(), "g": []}}
+
+
+def _repeat_a_point(cfg):
+    points = cfg["grids"][0]["points"]
+    points[1] = points[0]
+
+
+@pytest.mark.parametrize("command, mutate, fragment", [
+    ("gap", lambda cfg: cfg["grids"].append(cfg["grids"][0]),
+     "field grids: expected 1 entries, got 2"),
+    ("gap", lambda cfg: cfg["chain"].update(family="tabulated"),
+     "field chain: tabulated family needs explicit tables"),
+    ("gap", _tabulated_with_one_row, "field chain/tables/f: 1 rows but N = 2"),
+    ("gap", lambda cfg: cfg.update(weights={"intervals": [[[0.0, 2.0], [1.0, 3.0]]],
+                                            "kappas": [[1.0, 1.0]]}),
+     "intervals overlap near 1.0"),
+    ("gap", _repeat_a_point, "discrete grid points must be distinct"),
+    ("counts", lambda cfg: cfg.update(weights=None),
+     "counts needs interval-type weights in the config"),
+    ("sample", lambda cfg: cfg["task"].pop("sampler"),
+     "sample needs task.sampler in the config"),
+], ids=["grids_count", "tabulated_without_tables", "tables_f_rows", "overlapping_intervals",
+        "repeated_point", "counts_without_intervals", "sample_without_sampler"])
+def test_config_error_branches_exit_2(tmp_path, capsys, command, mutate, fragment):
+    cfg = json.loads(config_path("discrete_m1n2").read_text())
+    mutate(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and fragment in err
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     cfg = json.loads(config_path("discrete_m1n2").read_text())
     n = len(cfg["grids"][0]["points"])
@@ -284,9 +322,9 @@ def test_csv_header_and_stdout_agree(tmp_path, capsys, command):
 BUILDERS = ("dual_bases", "plu_decompose", "build_K", "build_g")
 
 
-def count_builders(monkeypatch):
-    """Count the calls of each builder, including those made inside detchain."""
-    counts = dict.fromkeys(BUILDERS, 0)
+def count_builders(monkeypatch, names=BUILDERS):
+    """Count the calls of each named function, including those made inside detchain."""
+    counts = dict.fromkeys(names, 0)
 
     def counting(name, original):
         def counted(*args, **kwargs):
@@ -295,7 +333,7 @@ def count_builders(monkeypatch):
         return counted
 
     modules = [mod for key, mod in sys.modules.items() if key.split(".")[0] == "detchain"]
-    for name in BUILDERS:
+    for name in names:
         original = getattr(detchain, name)
         wrapper = counting(name, original)
         for module in modules:
@@ -306,11 +344,14 @@ def count_builders(monkeypatch):
 
 @pytest.mark.parametrize("name", ["discrete_m3n2", "gauss_chain"])
 def test_check_builds_each_weight_set_once(monkeypatch, capsys, name):
-    counts = count_builders(monkeypatch)
+    counts = count_builders(monkeypatch,
+                            BUILDERS + ("pairing_expressions", "pairing_matrix"))
     assert run(["check", "--config", config_path(name)]) == 0
-    # one dualization for w = 0 and one for w; the third g is the one
-    # kernel_via_inverse builds for itself as the independent reference
-    assert counts == {"dual_bases": 2, "plu_decompose": 2, "build_K": 2, "build_g": 3}
+    # one dualization for w = 0 and one for w; the third g, pairing matrix and
+    # pair of pairing expressions are the ones kernel_via_inverse builds for
+    # itself as the independent reference. The pairing rows read the records.
+    assert counts == {"dual_bases": 2, "plu_decompose": 2, "build_K": 2, "build_g": 3,
+                      "pairing_expressions": 3, "pairing_matrix": 1}
 
 
 @pytest.mark.parametrize("command", ["gap", "janossy", "correlate", "counts", "sample",

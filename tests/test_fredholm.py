@@ -5,11 +5,13 @@ from detchain import (
     BlockKernel,
     DomainError,
     ResolventSingular,
+    ShapeError,
     StateError,
     WeightSet,
     build_K,
     build_g,
     check_kernel,
+    compose_w,
     correlation,
     dual_bases,
     fredholm_det,
@@ -106,6 +108,21 @@ def test_correlation_single_point_is_diagonal_value():
     tables = two_point_chain()
     _, Kc = checked_kernel(tables)
     assert abs(correlation(Kc, [[1]]) - Kc.block(1, 1)[1, 1]) < 1e-15
+
+
+@pytest.mark.parametrize("operation", [
+    lambda Kc, w: fredholm_det(Kc, w),
+    lambda Kc, w: resolvent(Kc, w),
+    lambda Kc, w: compose_w(Kc, w, Kc),
+], ids=["fredholm_det", "resolvent", "compose_w"])
+def test_short_weight_vector_is_a_shape_error(operation):
+    # a length-1 vector on a 4-node level must not be read as a constant weight
+    tables, weights = random_discrete_instance(5, m=2, N=2, sizes=(4, 6))
+    _, Kc = checked_kernel(tables)
+    short = WeightSet((np.array([0.5]), weights.w[1]))
+    with pytest.raises(ShapeError, match="level 1: weight vector of length 1 on a grid "
+                                         "of size 4"):
+        operation(Kc, short)
 
 
 def test_correlation_validates_points():

@@ -25,6 +25,7 @@ from detchain import (
     oracle_janossy,
     probnm_total_mass,
 )
+from detchain import oracle
 from detchain.oracle import Enumeration
 from detchain.cli import parse_instance
 from detchain.instances import monomial_discrete_config
@@ -75,10 +76,11 @@ def test_enumeration_requires_discrete_grids():
         enumerate_configurations(tables)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     inst, bases, _, _ = positive_setup()
+    monkeypatch.setattr(oracle, "MAX_CONFIGURATIONS", 10)
     with pytest.raises(ValueError):
-        enumerate_configurations(inst.tables, bases=bases, max_configurations=10)
+        enumerate_configurations(inst.tables, bases=bases)
 
 
 def test_normalized_weights_sum_to_one():
