@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Compare every command's outputs between a git revision and the working tree.
+
+    python3 scripts/compare_outputs.py [REF]        (REF defaults to HEAD)
+
+Extracts REF with ``git archive`` into a temporary directory and writes the
+configs once: the four bundled ones, plus the seed-1 configs ``gl_chain``
+0-2, ``discrete_verify`` 0-5 and ``mcmc`` 0-1 of ``perfbench/workloads.py``
+(imported by path, read only). Each tree then runs the seven commands on
+every config in one subprocess, with BLAS pinned to one thread. Prints every
+difference in exit code, stdout, stderr or CSV, and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import difflib
+import importlib.util
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+COMMANDS = ("check", "gap", "janossy", "correlate", "counts", "sample", "oracle")
+BUNDLED = ("discrete_m1n2", "discrete_m2n2", "discrete_m3n2", "gauss_chain")
+WORKLOAD_CYCLES = {"gl_chain": 3, "discrete_verify": 6, "mcmc": 2}
+SEED = 1
+FIELDS = ("code", "stdout", "stderr", "csv")
+
+
+def write_configs(directory: Path) -> list[Path]:
+    """The bundled configs and the workloads' seed-1 configs, one file each."""
+    configs = []
+    for name in BUNDLED:
+        configs.append(directory / f"{name}.json")
+        shutil.copyfile(REPO / "configs" / f"{name}.json", configs[-1])
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    scratch = directory / "workloads"
+    for name, cycles in WORKLOAD_CYCLES.items():
+        workload = workloads.WORKLOADS[name](SEED, scratch)
+        for cycle in range(cycles):
+            configs.append(directory / f"{name}-{cycle}.json")
+            # some workloads rewrite one file per cycle: copy it out at once
+            shutil.copyfile(workload.config_for(cycle), configs[-1])
+    shutil.rmtree(scratch)
+    return configs
+
+
+def run_tree(configs: list[str], out_dir: str) -> dict:
+    """Every command on every config through ``detchain.cli.main``, in this process."""
+    from detchain import cli
+
+    results = {}
+    for config in configs:
+        for command in COMMANDS:
+            csv_path = Path(out_dir) / f"{Path(config).stem}-{command}.csv"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli.main([command, "--config", config, "--out", str(csv_path)])
+                except Exception as exc:  # a crash is an output to compare too
+                    code = f"raised {type(exc).__name__}: {exc}"
+            csv_text = csv_path.read_text() if csv_path.exists() else None
+            results[f"{Path(config).stem} {command}"] = {
+                "code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+                "csv": csv_text}
+    return results
+
+
+def start_tree(src: Path, configs: list[Path], out_dir: Path) -> subprocess.Popen:
+    out_dir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.Popen([sys.executable, __file__, "--run", str(out_dir),
+                             *map(str, configs)], env=env)
+
+
+def describe(key: str, field: str, ref, new) -> str:
+    if field == "code" or ref is None or new is None:
+        return f"{key}: {field} {ref!r} -> {new!r}"
+    diff = difflib.unified_diff(ref.splitlines(), new.splitlines(), "ref", "tree",
+                                lineterm="", n=0)
+    return f"{key}: {field} differs\n" + "\n".join(list(diff)[:40])
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--run"]:
+        out_dir, configs = argv[1], argv[2:]
+        (Path(out_dir) / "results.json").write_text(json.dumps(run_tree(configs, out_dir)))
+        return 0
+    ref = argv[0] if argv else "HEAD"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", ref],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "ref", filter="data")
+        (tmp / "configs").mkdir()
+        configs = write_configs(tmp / "configs")
+        trees = {"ref": tmp / "ref" / "src", "tree": REPO / "src"}
+        procs = {label: start_tree(src, configs, tmp / f"out-{label}")
+                 for label, src in trees.items()}
+        if any([proc.wait() != 0 for proc in procs.values()]):  # wait for both
+            print("a tree's run failed", file=sys.stderr)
+            return 2
+        ref_out, new_out = (json.loads((tmp / f"out-{label}" / "results.json").read_text())
+                            for label in trees)
+    differences = [describe(key, field, ref_out[key][field], new_out[key][field])
+                   for key in ref_out for field in FIELDS
+                   if ref_out[key][field] != new_out[key][field]]
+    for line in differences:
+        print(line)
+    print(f"{len(ref_out)} command/config pairs against {ref}, "
+          f"{len(differences)} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--run"]:  # --run imports the tree PYTHONPATH names
+        sys.path.insert(0, str(REPO / "src"))
+    sys.exit(main(sys.argv[1:]))

@@ -151,11 +151,10 @@ def plu_decompose(A: np.ndarray) -> PairingDecomposition:
             upper[[col, pivot]] = upper[[pivot, col]]
             perm[[col, pivot]] = perm[[pivot, col]]
             lower[[col, pivot], :col] = lower[[pivot, col], :col]
-        for row in range(col + 1, n):
-            factor = upper[row, col] / upper[col, col]
-            lower[row, col] = factor
-            upper[row, col:] -= factor * upper[col, col:]
-            upper[row, col] = 0.0
+        factors = upper[col + 1:, col] / upper[col, col]
+        lower[col + 1:, col] = factors
+        upper[col + 1:, col:] -= factors[:, None] * upper[col, col:]
+        upper[col + 1:, col] = 0.0
     d = np.diag(upper).copy()
     if np.any(d == 0.0):
         raise SingularPairing("zero pivot in the PLU decomposition")

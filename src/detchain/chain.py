@@ -293,6 +293,15 @@ def indicator_vector(grid: Grid, intervals) -> np.ndarray:
     return out
 
 
+def indicators(grids, intervals) -> list[np.ndarray]:
+    """One ``indicator_vector`` per grid; ShapeError unless ``intervals`` holds
+    one interval list per grid."""
+    if len(intervals) != len(grids):
+        raise ShapeError(f"need one interval list per level, got {len(intervals)} for "
+                         f"{len(grids)} levels")
+    return [indicator_vector(grid, ivs) for grid, ivs in zip(grids, intervals)]
+
+
 def from_indicators(grids, intervals, kappas) -> WeightSet:
     """Weight set w_j = sum_alpha kappa_{alpha,j} * chi_{I_{alpha,j}}.
 
@@ -301,15 +310,16 @@ def from_indicators(grids, intervals, kappas) -> WeightSet:
     kappa = 1 case.
     """
     grids = tuple(grids)
-    if len(intervals) != len(grids) or len(kappas) != len(grids):
-        raise ShapeError("need one interval list and one kappa list per level")
+    indicators(grids, intervals)  # validates the count and each union's disjointness
+    if len(kappas) != len(grids):
+        raise ShapeError(f"need one kappa list per level, got {len(kappas)} for "
+                         f"{len(grids)} levels")
     vectors = []
     for grid, ivs, ks in zip(grids, intervals, kappas):
         if len(ivs) != len(ks):
             raise ShapeError(
                 f"level {grid.level_index}: {len(ivs)} intervals but {len(ks)} kappas"
             )
-        indicator_vector(grid, ivs)  # validates disjointness for the union
         w = np.zeros(grid.size)
         for (a, b), kappa in zip(ivs, ks):
             w += float(kappa) * indicator_vector(grid, [(a, b)])

@@ -32,7 +32,7 @@ from .chain import (
     check_weights,
     from_indicators,
     from_tables,
-    indicator_vector,
+    indicators,
     point_lists,
     tabulate,
 )
@@ -53,7 +53,7 @@ from .fredholm import (
     resolvent_residual,
     theorem2_residuals_of,
 )
-from .kernels import dualize, factorization_residual, kernel_via_inverse
+from .kernels import Dualization, dualize, factorization_residual, kernel_via_inverse
 from .measure import make_discrete_grid, make_gauss_legendre_grid
 from .oracle import (
     enumerate_configurations,
@@ -225,7 +225,8 @@ def _field(path: str, name: str):
     """Turn a library refusal inside the block into a ConfigError naming the field."""
     try:
         yield
-    except (ShapeError, IndexError, ValueError) as exc:
+    except (ShapeError, InvalidInterval, InvalidWeight, DuplicateNode, OverlapError,
+            ValueError, IndexError) as exc:
         raise ConfigError(f"{path}: field {name}: {exc}") from exc
 
 
@@ -241,15 +242,12 @@ def parse_instance(raw: dict, path: str = "<config>") -> InstanceConfig:
     if len(raw["grids"]) != m:
         raise ConfigError(f"{path}: field grids: expected {m} entries, got "
                           f"{len(raw['grids'])}")
-    try:
-        grids = []
-        for level, gc in enumerate(raw["grids"], start=1):
-            if gc["kind"] == "gauss_legendre":
-                grids.append(make_gauss_legendre_grid(tuple(gc["interval"]),
-                                                      gc["n"], level=level))
-            else:
-                grids.append(make_discrete_grid(gc["points"], gc["masses"],
-                                                level=level))
+    with _field(path, "grids"):
+        grids = [make_gauss_legendre_grid(tuple(gc["interval"]), gc["n"], level=level)
+                 if gc["kind"] == "gauss_legendre" else
+                 make_discrete_grid(gc["points"], gc["masses"], level=level)
+                 for level, gc in enumerate(raw["grids"], start=1)]
+    with _field(path, "chain"):
         spec = ChainSpec(
             m=m,
             N=n_rank,
@@ -270,33 +268,31 @@ def parse_instance(raw: dict, path: str = "<config>") -> InstanceConfig:
             if tables.N != n_rank:
                 raise ConfigError(f"{path}: field chain/tables/f: {tables.N} rows "
                                   f"but N = {n_rank}")
-        weights_cfg = raw.get("weights")
-        weight_intervals = None
-        if weights_cfg is None:
-            weights = WeightSet.zeros(grids)
-        elif "vectors" in weights_cfg:
+    weights_cfg = raw.get("weights")
+    weight_intervals = None
+    if weights_cfg is None:
+        weights = WeightSet.zeros(grids)
+    elif "vectors" in weights_cfg:
+        with _field(path, "weights/vectors"):
             weights = WeightSet(tuple(np.asarray(v, dtype=float)
                                       for v in weights_cfg["vectors"]))
-            with _field(path, "weights/vectors"):
-                check_weights(grids, weights)
-        else:
-            weight_intervals = tuple(
-                tuple((float(a), float(b)) for a, b in level)
-                for level in weights_cfg["intervals"]
-            )
+            check_weights(grids, weights)
+    else:
+        weight_intervals = tuple(
+            tuple((float(a), float(b)) for a, b in level)
+            for level in weights_cfg["intervals"]
+        )
+        with _field(path, "weights/intervals"):
             weights = from_indicators(grids, weights_cfg["intervals"],
                                       weights_cfg["kappas"])
-    except (ShapeError, InvalidInterval, InvalidWeight, DuplicateNode,
-            OverlapError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
     task_cfg = raw.get("task", {})
     sampler_cfg = None
     if "sampler" in task_cfg:
         sc = task_cfg["sampler"]
-        sampler_cfg = SamplerConfig(steps=sc["steps"],
-                                    burn_in=sc.get("burn_in"),
-                                    seed=sc.get("seed", 0))
+        with _field(path, "task/sampler"):
+            sampler_cfg = SamplerConfig(steps=sc["steps"], burn_in=sc.get("burn_in"),
+                                        seed=sc.get("seed", 0))
     points = None
     if "points" in task_cfg:
         with _field(path, "task/points"):
@@ -304,9 +300,8 @@ def parse_instance(raw: dict, path: str = "<config>") -> InstanceConfig:
     max_count = task_cfg.get("max_count")
     if max_count is not None and weight_intervals is not None:
         with _field(path, "task/max_count"):
-            count_degrees(n_rank, [int(indicator_vector(grid, ivs).sum())
-                                   for grid, ivs in zip(grids, weight_intervals)],
-                          max_count)
+            count_degrees(n_rank, [int(chi.sum()) for chi in
+                                   indicators(grids, weight_intervals)], max_count)
     task = TaskSpec(points=points, max_count=max_count, sampler=sampler_cfg)
     return InstanceConfig(
         spec=spec,
@@ -366,13 +361,14 @@ def _verdicts(inst: InstanceConfig, rows, width: int, describe):
 
 
 # ---------------------------------------------------------------------------
-# commands: each prints its stdout and returns (exit code, CSV header, CSV rows)
+# commands: each gets the instance and its plain (w = 0) dualization, prints its
+# stdout and returns (exit code, CSV header, CSV rows)
 
-def cmd_check(inst: InstanceConfig, args):
+def cmd_check(inst: InstanceConfig, plain: Dualization, args):
     tol = args.tol
     tables, weights = inst.tables, inst.weights
     zeros = WeightSet.zeros(tables.grids)
-    plain, dual = dualize(tables, zeros), dualize(tables, weights)
+    dual = dualize(tables, weights)
     rows = []
 
     res = theorem2_residuals_of(tables, plain, dual)
@@ -403,38 +399,31 @@ def cmd_check(inst: InstanceConfig, args):
     return code, ["quantity", "residual", "bound", "status"], rows
 
 
-def cmd_gap(inst: InstanceConfig, args):
-    value = fredholm_det(dualize(inst.tables, WeightSet.zeros(inst.tables.grids)).Kc,
-                         inst.weights)
+def cmd_gap(inst: InstanceConfig, plain: Dualization, args):
+    value = fredholm_det(plain.Kc, inst.weights)
     print(_fmt(value))
     return 0, ["quantity", "value"], [("gap_probability", value)]
 
 
-def _at_points(inst: InstanceConfig, args, quantity: str, value_of):
+def _at_points(inst: InstanceConfig, plain: Dualization, quantity: str, value_of):
     """One value of the plain checked kernel at the configured points."""
-    if inst.task.points is None:
-        raise ConfigError(f"{args.command} needs task.points in the config")
-    kernel = dualize(inst.tables, WeightSet.zeros(inst.tables.grids)).Kc
-    value = value_of(kernel, inst.task.points)
+    value = value_of(plain.Kc, inst.task.points)
     print(_fmt(value))
     points = json.dumps([list(p) for p in inst.task.points])
     return 0, ["quantity", "points", "value"], [(quantity, points, value)]
 
 
-def cmd_janossy(inst: InstanceConfig, args):
-    return _at_points(inst, args, "janossy_density",
+def cmd_janossy(inst: InstanceConfig, plain: Dualization, args):
+    return _at_points(inst, plain, "janossy_density",
                       lambda kernel, points: janossy(kernel, inst.weights, points))
 
 
-def cmd_correlate(inst: InstanceConfig, args):
-    return _at_points(inst, args, "correlation", correlation)
+def cmd_correlate(inst: InstanceConfig, plain: Dualization, args):
+    return _at_points(inst, plain, "correlation", correlation)
 
 
-def cmd_counts(inst: InstanceConfig, args):
-    if inst.weight_intervals is None:
-        raise ConfigError("counts needs interval-type weights in the config")
-    kernel = dualize(inst.tables, WeightSet.zeros(inst.tables.grids)).Kc
-    dist = gap_generating_function(kernel, inst.weight_intervals,
+def cmd_counts(inst: InstanceConfig, plain: Dualization, args):
+    dist = gap_generating_function(plain.Kc, inst.weight_intervals,
                                    max_count=inst.task.max_count)
     print(_fmt(dist.total))
     header = [f"count_{j + 1}" for j in range(inst.tables.m)] + ["probability"]
@@ -442,14 +431,11 @@ def cmd_counts(inst: InstanceConfig, args):
                        for counts, p in sorted(dist.probabilities.items())]
 
 
-def cmd_sample(inst: InstanceConfig, args):
-    if inst.task.sampler is None:
-        raise ConfigError("sample needs task.sampler in the config")
+def cmd_sample(inst: InstanceConfig, plain: Dualization, args):
     cfg = inst.task.sampler
     if args.seed is not None:
         cfg = SamplerConfig(steps=cfg.steps, burn_in=cfg.burn_in, seed=args.seed,
                             proposal=cfg.proposal)
-    plain = dualize(inst.tables, WeightSet.zeros(inst.tables.grids))
     stream = sample(inst.tables, cfg, bases=plain.bases)
     estimate, stderr = empirical_gap(stream, inst.weights)
     reference = fredholm_det(plain.Kc, inst.weights)
@@ -462,8 +448,7 @@ def cmd_sample(inst: InstanceConfig, args):
         [("empirical_gap", estimate, stderr, reference, zscore, cfg.seed)]
 
 
-def cmd_oracle(inst: InstanceConfig, args):
-    plain = dualize(inst.tables, WeightSet.zeros(inst.tables.grids))
+def cmd_oracle(inst: InstanceConfig, plain: Dualization, args):
     kernel = plain.Kc
     try:
         enum = enumerate_configurations(inst.tables, bases=plain.bases)
@@ -510,6 +495,15 @@ _COMMANDS = {
     "oracle": cmd_oracle,
 }
 
+# what each command needs beyond the chain: (what, whether the instance has it)
+_PREREQUISITES = {
+    "janossy": (("task.points", lambda inst: inst.task.points is not None),
+                ("indicator weights", lambda inst: inst.weights.is_indicator())),
+    "correlate": (("task.points", lambda inst: inst.task.points is not None),),
+    "counts": (("interval-type weights", lambda inst: inst.weight_intervals is not None),),
+    "sample": (("task.sampler", lambda inst: inst.task.sampler is not None),),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -546,7 +540,11 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         inst = load_instance(args.config)
-        code, header, rows = _COMMANDS[args.command](inst, args)
+        for what, present in _PREREQUISITES.get(args.command, ()):
+            if not present(inst):
+                raise ConfigError(f"{args.command} needs {what} in the config")
+        plain = dualize(inst.tables, WeightSet.zeros(inst.tables.grids))
+        code, header, rows = _COMMANDS[args.command](inst, plain, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

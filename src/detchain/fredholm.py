@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biortho import dual_masses
-from .chain import ChainTables, WeightSet, indicator_vector, point_lists
+from .chain import ChainTables, WeightSet, indicators, point_lists
 from .errors import DomainError, ResolventSingular, ShapeError, StateError
 from .kernels import (
     BlockKernel,
@@ -220,10 +220,7 @@ def gap_generating_function(Kc: BlockKernel, intervals, max_count: int | None = 
     conjugate pair of root tuples only one needs a determinant.
     ``max_count`` raises d_j up to |S_j| (see ``count_degrees``).
     """
-    m = Kc.m
-    if len(intervals) != m:
-        raise ShapeError(f"need one interval list per level, got {len(intervals)}")
-    chi = [indicator_vector(g, ivs) for g, ivs in zip(Kc.grids, intervals)]
+    chi = indicators(Kc.grids, intervals)
     S, MS, _ = _on_support(Kc, WeightSet(tuple(chi)))
     sizes = [int(c.sum()) for c in chi]
     shape = tuple(d + 1 for d in count_degrees(Kc.rank, sizes, max_count))

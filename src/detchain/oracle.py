@@ -20,8 +20,8 @@ from typing import Iterator
 import numpy as np
 
 from .biortho import DualBases, dual_bases
-from .chain import ChainTables, WeightSet, indicator_vector, point_lists
-from .errors import NotAProbability, ShapeError
+from .chain import ChainTables, WeightSet, indicators, point_lists
+from .errors import NotAProbability
 from .fredholm import CountDistribution
 from .kernels import BlockKernel
 from .measure import DISCRETE
@@ -156,12 +156,10 @@ def oracle_correlation(enum: Enumeration, points) -> float:
 
 
 def oracle_gap(enum: Enumeration, weights: WeightSet) -> float:
-    """Probability that no configuration point carries indicator weight 1."""
-    selectors = []
-    for level, w in enumerate(weights.w):
-        inside = enum.node_counts(level) @ (w != 0.0).astype(float)
-        selectors.append((inside == 0).astype(float))
-    return enum.expectation(selectors)
+    """Expectation of prod_i (1 - w(x_i)) over the configuration points; for
+    indicator weights, the probability that no point lies in the sets."""
+    return enum.expectation([np.prod(1.0 - w[tup], axis=1)
+                             for w, tup in zip(weights.w, enum.tuples)])
 
 
 def oracle_janossy(enum: Enumeration, weights: WeightSet, points) -> float:
@@ -185,12 +183,9 @@ def oracle_janossy(enum: Enumeration, weights: WeightSet, points) -> float:
 
 def oracle_counts(enum: Enumeration, intervals) -> CountDistribution:
     """Exact histogram of per-level point counts inside interval unions."""
-    if len(intervals) != enum.m:
-        raise ShapeError(f"need one interval list per level, got {len(intervals)}")
     n = enum.N
     onehots = []
-    for level, ivs in enumerate(intervals):
-        chi = indicator_vector(enum.tables.grids[level], ivs)
+    for level, chi in enumerate(indicators(enum.tables.grids, intervals)):
         counts = (enum.node_counts(level) @ chi).astype(int)
         onehot = np.zeros((len(enum.tuples[level]), n + 1))
         onehot[np.arange(len(counts)), counts] = 1.0

@@ -50,11 +50,12 @@ class SamplerConfig:
 def configuration_weight(tables: ChainTables, bases: DualBases, state) -> float:
     """Unnormalized density times node masses of one labeled configuration."""
     m = tables.m
-    mats = [bases.psi[0][:, state[0]]]
+    mats = np.empty((m + 1, tables.N, tables.N))
+    mats[0] = bases.psi[0][:, state[0]]
     for j in range(m - 1):
-        mats.append(tables.g_values[j][np.ix_(state[j + 1], state[j])])
-    mats.append(bases.phi[m - 1][:, state[m - 1]])
-    dets = np.linalg.det(np.stack(mats))
+        mats[j + 1] = tables.g_values[j][state[j + 1]][:, state[j]]
+    mats[m] = bases.phi[m - 1][:, state[m - 1]]
+    dets = np.linalg.det(mats)
     mass = 1.0
     for j in range(m):
         mass *= float(tables.grids[j].weights[state[j]].prod())
@@ -126,14 +127,14 @@ def sample(tables: ChainTables, config: SamplerConfig,
 
 
 def empirical_gap(samples, weights: WeightSet) -> tuple[float, float]:
-    """Fraction of samples avoiding all indicator sets, with batch-means stderr."""
+    """Sample mean of prod_i (1 - w(x_i)), with batch-means stderr; for indicator
+    weights, the fraction of samples avoiding all the sets."""
     if len(samples) == 0:
         raise ValueError("empty sample stream")
-    avoided = np.ones(len(samples), dtype=bool)
+    hits = np.ones(len(samples))
     for j, w in enumerate(weights.w):
         nodes = np.array([cfg.nodes[j] for cfg in samples], dtype=int)
-        avoided &= ~np.any(w[nodes] != 0.0, axis=1)
-    hits = avoided.astype(float)
+        hits *= np.prod(1.0 - w[nodes], axis=1)
     estimate = float(hits.mean())
     batches = int(np.sqrt(hits.size))
     if batches < 2:

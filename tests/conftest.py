@@ -13,6 +13,14 @@ CONFIG_DIR = REPO_ROOT / "configs"
 BUNDLED_DISCRETE = ["discrete_m1n2", "discrete_m2n2", "discrete_m3n2"]
 
 
+def soft_m2n2():
+    """discrete_m2n2 with weight vectors strictly between 0 and 1."""
+    raw = json.loads((CONFIG_DIR / "discrete_m2n2.json").read_text())
+    raw["weights"] = {"vectors": [[0.483, 0.485, 0.309, 0.171],
+                                  [0.032, 0.23, 0.245, 0.027]]}
+    return raw
+
+
 def load_bundled(name):
     raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     return parse_instance(raw, path=name)

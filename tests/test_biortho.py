@@ -132,6 +132,42 @@ def test_plu_reconstruction_and_matched_diagonals():
         assert set(dec.sign_convention) <= {-1, 1}
 
 
+def _doolittle_by_rows(A):
+    """Partial-pivoting elimination one row at a time: the reference for the
+    column-at-once updates of plu_decompose, which do the same arithmetic."""
+    n = A.shape[0]
+    upper, lower, perm = A.copy(), np.eye(n), np.arange(n)
+    for col in range(n - 1):
+        pivot = col + int(np.argmax(np.abs(upper[col:, col])))
+        if pivot != col:
+            upper[[col, pivot]] = upper[[pivot, col]]
+            perm[[col, pivot]] = perm[[pivot, col]]
+            lower[[col, pivot], :col] = lower[[pivot, col], :col]
+        for row in range(col + 1, n):
+            factor = upper[row, col] / upper[col, col]
+            lower[row, col] = factor
+            upper[row, col:] -= factor * upper[col, col:]
+            upper[row, col] = 0.0
+    return perm, lower, upper
+
+
+def test_plu_matches_row_by_row_elimination_bitwise():
+    rng = np.random.default_rng(41)
+    for n in range(1, 9):
+        for _ in range(60):
+            A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            if np.linalg.cond(A) >= biortho.CONDITION_LIMIT:
+                continue
+            perm, lower, upper = _doolittle_by_rows(A)
+            d = np.diag(upper)
+            signs = np.where(d >= 0, 1.0, -1.0)
+            dec = plu_decompose(A)
+            np.testing.assert_array_equal(dec.permutation, perm)
+            np.testing.assert_array_equal(dec.L, lower * (signs * np.sqrt(np.abs(d))))
+            np.testing.assert_array_equal(dec.U, (signs / np.sqrt(np.abs(d)))[:, None]
+                                          * upper)
+
+
 def test_plu_near_singular_rejected():
     with pytest.raises(SingularPairing):
         plu_decompose(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))

@@ -121,6 +121,11 @@ def _repeat_a_point(cfg):
     points[1] = points[0]
 
 
+def _burn_in_at_steps(cfg):
+    sampler = cfg["task"]["sampler"]
+    sampler["burn_in"] = sampler["steps"]
+
+
 @pytest.mark.parametrize("command, mutate, fragment", [
     ("gap", lambda cfg: cfg["grids"].append(cfg["grids"][0]),
      "field grids: expected 1 entries, got 2"),
@@ -135,8 +140,13 @@ def _repeat_a_point(cfg):
      "counts needs interval-type weights in the config"),
     ("sample", lambda cfg: cfg["task"].pop("sampler"),
      "sample needs task.sampler in the config"),
+    ("gap", _burn_in_at_steps, "field task/sampler"),
+    ("sample", _burn_in_at_steps, "field task/sampler"),
+    ("janossy", lambda cfg: cfg.update(weights={"vectors": [[0.0, 0.0, 0.5, 0.5, 0.5]]}),
+     "janossy needs indicator weights"),
 ], ids=["grids_count", "tabulated_without_tables", "tables_f_rows", "overlapping_intervals",
-        "repeated_point", "counts_without_intervals", "sample_without_sampler"])
+        "repeated_point", "counts_without_intervals", "sample_without_sampler",
+        "burn_in_at_steps_gap", "burn_in_at_steps_sample", "janossy_soft_weights"])
 def test_config_error_branches_exit_2(tmp_path, capsys, command, mutate, fragment):
     cfg = json.loads(config_path("discrete_m1n2").read_text())
     mutate(cfg)
@@ -145,6 +155,61 @@ def test_config_error_branches_exit_2(tmp_path, capsys, command, mutate, fragmen
     assert run([command, "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and fragment in err
+
+
+def _level_sizes(cfg):
+    return [g["n"] if g["kind"] == "gauss_legendre" else len(g["points"])
+            for g in cfg["grids"]]
+
+
+def _upper_halves(cfg):
+    """Per level, one interval holding the upper half of the grid's nodes."""
+    halves = []
+    for g in cfg["grids"]:
+        if g["kind"] == "gauss_legendre":
+            low, high = g["interval"]
+            halves.append([[(low + high) / 2, high + 1.0]])
+        else:
+            points = sorted(g["points"])
+            halves.append([[points[len(points) // 2], points[-1] + 1.0]])
+    return halves
+
+
+WEIGHT_FORMS = {
+    "null": lambda cfg: None,
+    "soft_vectors": lambda cfg: {"vectors": [[0.3] * n for n in _level_sizes(cfg)]},
+    "indicator_vectors": lambda cfg: {
+        "vectors": [[float(i % 2) for i in range(n)] for n in _level_sizes(cfg)]},
+    "intervals_kappa_1": lambda cfg: {
+        "intervals": _upper_halves(cfg), "kappas": [[1.0]] * cfg["chain"]["m"]},
+    "intervals_kappa_half": lambda cfg: {
+        "intervals": _upper_halves(cfg), "kappas": [[0.5]] * cfg["chain"]["m"]},
+}
+
+
+@pytest.mark.parametrize("name", ["discrete_m1n2", "discrete_m2n2", "discrete_m3n2",
+                                  "gauss_chain"])
+def test_no_config_crashes_the_cli(tmp_path, capsys, name):
+    # five weight forms with a short sampler, and one sampler whose burn-in
+    # swallows every step; each command ends in an exit code, never a traceback
+    base = json.loads(config_path(name).read_text())
+    configs = []
+    for form, weights in WEIGHT_FORMS.items():
+        cfg = json.loads(json.dumps(base))
+        cfg["weights"] = weights(cfg)
+        cfg.setdefault("task", {})["sampler"] = {"steps": 300, "burn_in": 30, "seed": 1}
+        configs.append((form, cfg))
+    cfg = json.loads(json.dumps(base))
+    cfg.setdefault("task", {})["sampler"] = {"steps": 300, "burn_in": 300, "seed": 1}
+    configs.append(("burn_in_at_steps", cfg))
+    for form, cfg in configs:
+        path = tmp_path / f"{form}.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("check", "gap", "janossy", "correlate", "counts", "sample",
+                        "oracle"):
+            code = run([command, "--config", path])
+            assert code in (0, 1, 2, 3), (form, command, code)
+    capsys.readouterr()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

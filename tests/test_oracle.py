@@ -6,6 +6,7 @@ import pytest
 from detchain import (
     DegenerateBasis,
     NotAProbability,
+    ShapeError,
     WeightSet,
     build_K,
     build_g,
@@ -14,6 +15,7 @@ from detchain import (
     dual_bases,
     enumerate_configurations,
     fredholm_det,
+    from_indicators,
     from_tables,
     gap_generating_function,
     janossy,
@@ -30,11 +32,13 @@ from detchain.oracle import Enumeration
 from detchain.cli import parse_instance
 from detchain.instances import monomial_discrete_config
 
-from .conftest import two_point_chain
+from .conftest import soft_m2n2, two_point_chain
 
 
-def positive_setup(seed=77, m=2, N=2, sizes=(4, 4), **kwargs):
-    inst = parse_instance(monomial_discrete_config(seed, m, N, sizes, **kwargs))
+def positive_setup(seed=77, m=2, N=2, sizes=(4, 4), raw=None, **kwargs):
+    if raw is None:
+        raw = monomial_discrete_config(seed, m, N, sizes, **kwargs)
+    inst = parse_instance(raw)
     zeros = WeightSet.zeros(inst.tables.grids)
     bases = dual_bases(inst.tables, zeros)
     kernel = check_kernel(build_K(bases), build_g(inst.tables, zeros))
@@ -142,10 +146,25 @@ def test_oracle_gap_trivial_cases():
     assert abs(oracle_gap(enum, everything)) <= 1e-12
 
 
-def test_gap_matches_fredholm_det():
-    inst, _, kernel, enum = positive_setup(seed=23)
+@pytest.mark.parametrize("raw", [monomial_discrete_config(23, 2, 2, (4, 4)), soft_m2n2()],
+                         ids=["indicator", "soft"])
+def test_gap_matches_fredholm_det(raw):
+    # det(1 - Kc o w) = E prod_i (1 - w(x_i)) for any weights, not only 0/1
+    inst, _, kernel, enum = positive_setup(raw=raw)
     det = fredholm_det(kernel, inst.weights)
     assert abs(det - oracle_gap(enum, inst.weights)) <= 1e-10
+
+
+@pytest.mark.parametrize("count", [
+    lambda inst, kernel, enum, ivs: from_indicators(inst.tables.grids, ivs, [[1.0]] * 3),
+    lambda inst, kernel, enum, ivs: gap_generating_function(kernel, ivs),
+    lambda inst, kernel, enum, ivs: oracle_counts(enum, ivs),
+], ids=["from_indicators", "gap_generating_function", "oracle_counts"])
+def test_interval_level_count_refusal_is_shared(count):
+    inst, _, kernel, enum = positive_setup(seed=23)
+    with pytest.raises(ShapeError) as refused:
+        count(inst, kernel, enum, [[(0.0, 1.0)]] * 3)
+    assert str(refused.value) == "need one interval list per level, got 3 for 2 levels"
 
 
 def test_oracle_janossy_trivial_cases():

@@ -19,7 +19,7 @@ from detchain.sampler import configuration_weight
 from detchain.cli import parse_instance
 from detchain.instances import monomial_discrete_config
 
-from .conftest import two_point_chain
+from .conftest import soft_m2n2, two_point_chain
 
 
 def test_config_validation():
@@ -95,8 +95,10 @@ def test_empirical_gap_trivial_cases():
     assert estimate == 0.0
 
 
-def test_empirical_gap_tracks_fredholm_det():
-    inst = parse_instance(monomial_discrete_config(77, 2, 2, (4, 4)))
+@pytest.mark.parametrize("raw", [monomial_discrete_config(77, 2, 2, (4, 4)), soft_m2n2()],
+                         ids=["indicator", "soft"])
+def test_empirical_gap_tracks_fredholm_det(raw):
+    inst = parse_instance(raw)
     zeros = WeightSet.zeros(inst.tables.grids)
     bases = dual_bases(inst.tables, zeros)
     kernel = check_kernel(build_K(bases), build_g(inst.tables, zeros))
