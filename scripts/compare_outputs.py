@@ -8,7 +8,15 @@ configs once: the four bundled ones, plus the seed-1 configs ``gl_chain``
 0-2, ``discrete_verify`` 0-5 and ``mcmc`` 0-1 of ``perfbench/workloads.py``
 (imported by path, read only). Each tree then runs the seven commands on
 every config in one subprocess, with BLAS pinned to one thread. Prints every
-difference in exit code, stdout, stderr or CSV, and exits 1 if there is any.
+difference in exit code, stdout, stderr or CSV.
+
+A third subprocess runs the benchmark's own correctness test on the working
+tree: each workload config through that workload's commands, every output
+judged by ``References.check`` of ``perfbench/checks.py`` and replayed by
+``perfbench/replay.py`` (both imported by path, read only). Prints every
+failed check and every replay whose stdout, CSV or exit code differs from
+the command's. Exits 1 if there is any difference, failed check or
+mismatch.
 """
 
 from __future__ import annotations
@@ -34,16 +42,23 @@ SEED = 1
 FIELDS = ("code", "stdout", "stderr", "csv")
 
 
+def load_perfbench(name: str):
+    """The benchmark module ``perfbench/<name>.py``, imported by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  REPO / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def write_configs(directory: Path) -> list[Path]:
     """The bundled configs and the workloads' seed-1 configs, one file each."""
     configs = []
     for name in BUNDLED:
         configs.append(directory / f"{name}.json")
         shutil.copyfile(REPO / "configs" / f"{name}.json", configs[-1])
-    spec = importlib.util.spec_from_file_location("workloads",
-                                                  REPO / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_perfbench("workloads")
     scratch = directory / "workloads"
     for name, cycles in WORKLOAD_CYCLES.items():
         workload = workloads.WORKLOADS[name](SEED, scratch)
@@ -76,11 +91,60 @@ def run_tree(configs: list[str], out_dir: str) -> dict:
     return results
 
 
-def start_tree(src: Path, configs: list[Path], out_dir: Path) -> subprocess.Popen:
+def bench_checks(configs: list[str], out_dir: str) -> dict:
+    """The benchmark's checks and replay on each workload config, as it runs them.
+
+    Returns the number of command/config pairs run, one line per failed
+    check and one per replay that differs from the command.
+    """
+    from detchain import cli
+
+    checks, replay, workloads = map(load_perfbench, ("checks", "replay", "workloads"))
+    refs = checks.References()
+    csv_path = Path(out_dir) / "out.csv"
+    found = {"pairs": 0, "failed": [], "mismatched": []}
+    for config in configs:
+        workload = Path(config).stem.rsplit("-", 1)[0]
+        if workload not in WORKLOAD_CYCLES:
+            continue
+        inst = cli.load_instance(config)
+        for command_id, command in enumerate(workloads.WORKLOADS[workload].commands):
+            key = f"{Path(config).stem} {command}"
+            found["pairs"] += 1
+            argv = [command, "--config", config, "--out", str(csv_path)]
+            csv_path.unlink(missing_ok=True)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:
+                    found["failed"].append(f"{key}: check failed: raised "
+                                           f"{type(exc).__name__}: {exc}")
+                    continue
+            # the CSV writer ends rows with \r\n; the replay is compared as written
+            csv_text = ""
+            if csv_path.exists():
+                with open(csv_path, newline="") as fh:
+                    csv_text = fh.read()
+            outcome = refs.check(command, inst, code, stdout.getvalue(), csv_text)
+            if outcome.failed:
+                found["failed"].append(f"{key}: check failed: "
+                                       + "; ".join(outcome.notes))
+            replayed = replay.replay(replay.Tracer(), argv, command_id)
+            for field, ref, new in (("stdout", stdout.getvalue(), replayed.stdout),
+                                    ("csv", csv_text, replayed.csv),
+                                    ("exit code", code, replayed.exit_code)):
+                if ref != new:
+                    found["mismatched"].append(f"{key}: replay differs in {field}")
+    return found
+
+
+def start(mode: str, src: Path, configs: list[Path], out_dir: Path) -> subprocess.Popen:
     out_dir.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return subprocess.Popen([sys.executable, __file__, "--run", str(out_dir),
+    return subprocess.Popen([sys.executable, __file__, mode, str(out_dir),
                              *map(str, configs)], env=env)
 
 
@@ -93,9 +157,10 @@ def describe(key: str, field: str, ref, new) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--run"]:
+    if argv[:1] in (["--run"], ["--bench"]):
+        run = run_tree if argv[0] == "--run" else bench_checks
         out_dir, configs = argv[1], argv[2:]
-        (Path(out_dir) / "results.json").write_text(json.dumps(run_tree(configs, out_dir)))
+        (Path(out_dir) / "results.json").write_text(json.dumps(run(configs, out_dir)))
         return 0
     ref = argv[0] if argv else "HEAD"
     with tempfile.TemporaryDirectory() as tmp:
@@ -106,25 +171,30 @@ def main(argv: list[str]) -> int:
             tar.extractall(tmp / "ref", filter="data")
         (tmp / "configs").mkdir()
         configs = write_configs(tmp / "configs")
-        trees = {"ref": tmp / "ref" / "src", "tree": REPO / "src"}
-        procs = {label: start_tree(src, configs, tmp / f"out-{label}")
-                 for label, src in trees.items()}
-        if any([proc.wait() != 0 for proc in procs.values()]):  # wait for both
+        runs = {"ref": ("--run", tmp / "ref" / "src"), "tree": ("--run", REPO / "src"),
+                "bench": ("--bench", REPO / "src")}
+        procs = {label: start(mode, src, configs, tmp / f"out-{label}")
+                 for label, (mode, src) in runs.items()}
+        if any([proc.wait() != 0 for proc in procs.values()]):  # wait for all
             print("a tree's run failed", file=sys.stderr)
             return 2
-        ref_out, new_out = (json.loads((tmp / f"out-{label}" / "results.json").read_text())
-                            for label in trees)
+        ref_out, new_out, bench = (
+            json.loads((tmp / f"out-{label}" / "results.json").read_text())
+            for label in runs)
     differences = [describe(key, field, ref_out[key][field], new_out[key][field])
                    for key in ref_out for field in FIELDS
                    if ref_out[key][field] != new_out[key][field]]
-    for line in differences:
+    for line in differences + bench["failed"] + bench["mismatched"]:
         print(line)
     print(f"{len(ref_out)} command/config pairs against {ref}, "
           f"{len(differences)} differences")
-    return 1 if differences else 0
+    print(f"benchmark checks on the working tree: {bench['pairs']} command/config "
+          f"pairs, {len(bench['failed'])} failed checks, {len(bench['mismatched'])} "
+          "replay mismatches")
+    return 1 if differences or bench["failed"] or bench["mismatched"] else 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] != ["--run"]:  # --run imports the tree PYTHONPATH names
+    if sys.argv[1:2] not in (["--run"], ["--bench"]):  # these import PYTHONPATH's tree
         sys.path.insert(0, str(REPO / "src"))
     sys.exit(main(sys.argv[1:]))

@@ -49,7 +49,6 @@ from .fredholm import (
     g_resolvent_residual,
     gap_generating_function,
     janossy,
-    joint_density,
     resolvent,
     theorem2_residuals,
 )
@@ -69,6 +68,7 @@ from .oracle import (
     Configuration,
     Enumeration,
     enumerate_configurations,
+    joint_density,
     oracle_correlation,
     oracle_counts,
     oracle_gap,

@@ -42,26 +42,38 @@ def dual_masses(tables: ChainTables, weights: WeightSet) -> list[np.ndarray]:
     return [g.weights * (1.0 - w) for g, w in zip(tables.grids, weights.w)]
 
 
+def walk(tables: ChainTables, e: list[np.ndarray], rows: np.ndarray, level: int,
+         upward: bool) -> list[np.ndarray]:
+    """Carry a k x n_level block of rows through the transfer chain.
+
+    Each step up, to level j + 1, is (x * e_j) @ g_j^T; each step down, to
+    level j, is (x * e_{j+1}) @ g_j, with g_j the level-j to level-(j + 1)
+    transfer table and e_j the level-j masses. Returns the rows on levels
+    ``level``..m (upward) or 1..``level`` (downward), in level order.
+    """
+    out = [rows]
+    if upward:
+        for j in range(level, tables.m):
+            out.append((out[-1] * e[j - 1]) @ tables.g_values[j - 1].T)
+        return out
+    for j in range(level - 1, 0, -1):
+        out.append((out[-1] * e[j]) @ tables.g_values[j - 1])
+    return out[::-1]
+
+
 def pairing_expressions(tables: ChainTables, weights: WeightSet) -> tuple[np.ndarray, np.ndarray]:
     """The pairing matrix evaluated two independent ways.
 
-    The first entry propagates h backwards through the chain and pairs with f
-    on level 1; the second propagates f forwards and pairs with h on level m.
-    Both equal A^w exactly; their floating-point difference measures the
-    consistency of the tabulated chain.
+    The first entry walks h down the chain and pairs with f on level 1; the
+    second walks f up and pairs with h on level m. Both equal A^w exactly;
+    their floating-point difference measures the consistency of the
+    tabulated chain.
     """
     e = dual_masses(tables, weights)
     m = tables.m
-    back = tables.h_values * e[m - 1]
-    for level in range(m - 2, -1, -1):
-        back = (back @ tables.g_values[level]) * e[level]
-    a_level1 = tables.f_values @ back.T
-
-    fwd = tables.f_values * e[0]
-    for level in range(m - 1):
-        fwd = (fwd @ tables.g_values[level].T) * e[level + 1]
-    a_levelm = fwd @ tables.h_values.T
-    return a_level1, a_levelm
+    back = walk(tables, e, tables.h_values, m, upward=False)[0]
+    fwd = walk(tables, e, tables.f_values, 1, upward=True)[-1]
+    return tables.f_values @ (back * e[0]).T, (fwd * e[m - 1]) @ tables.h_values.T
 
 
 def _judged_pairing(tables: ChainTables, weights: WeightSet) -> tuple[np.ndarray, float]:
@@ -206,27 +218,22 @@ class DualBases:
 def dual_bases(tables: ChainTables, weights: WeightSet) -> DualBases:
     """Build the dual bases psi, phi for the given weights.
 
-    psi on level 1 is (PL)^{-1} f, phi on level m is U^{-T} h; both are
-    propagated level to level through the transfer tables with the
-    diag(mu (1 - w)) factor of the source level inserted. The biorthogonality
-    residual is verified on every level (enforced at 1e-10 while the pairing
-    matrix has condition number at most 1e8).
+    psi on level 1 is (PL)^{-1} f, phi on level m is U^{-T} h; ``walk``
+    carries psi up and phi down the chain, with the diag(mu (1 - w)) factor
+    of the source level inserted. The biorthogonality residual is verified
+    on every level (enforced at 1e-10 while the pairing matrix has condition
+    number at most 1e8).
     """
     A, gap = _judged_pairing(tables, weights)
     dec = plu_decompose(A)
     e = dual_masses(tables, weights)
-    m = tables.m
-    psi = [np.empty(0)] * m
-    phi = [np.empty(0)] * m
-    psi[0] = np.linalg.solve(dec.L, tables.f_values[dec.permutation])
-    phi[m - 1] = np.linalg.solve(dec.U.T, tables.h_values)
-    for level in range(1, m):
-        psi[level] = (psi[level - 1] * e[level - 1]) @ tables.g_values[level - 1].T
-    for level in range(m - 2, -1, -1):
-        phi[level] = (phi[level + 1] * e[level + 1]) @ tables.g_values[level]
+    psi = walk(tables, e, np.linalg.solve(dec.L, tables.f_values[dec.permutation]), 1,
+               upward=True)
+    phi = walk(tables, e, np.linalg.solve(dec.U.T, tables.h_values), tables.m,
+               upward=False)
     eye = np.eye(tables.N)
     residual = 0.0
-    for level in range(m):
+    for level in range(tables.m):
         gram = (psi[level] * e[level]) @ phi[level].T
         residual = max(residual, float(np.max(np.abs(gram - eye))))
     # residual tracks cond(A) times the chain amplification; anything beyond

@@ -23,20 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biortho import dual_masses
+from .biortho import dual_masses, walk
 from .chain import ChainTables, WeightSet, indicators, point_lists
-from .errors import DomainError, ResolventSingular, ShapeError, StateError
+from .errors import DomainError, ResolventSingular, StateError
 from .kernels import (
     BlockKernel,
     Dualization,
-    _lift_first,
-    _lift_last,
     _max_abs_diff,
     _measure_weights,
     _support_columns,
-    build_K,
     build_g,
-    check_kernel,
     compose_w,
     dualize,
 )
@@ -149,38 +145,6 @@ def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
                 )
     const, R = _sampled_resolvent(Kc, weights, _node_index(Kc, lists))
     return const * float(np.linalg.det(R))
-
-
-def joint_density(bases, tables: ChainTables, config) -> tuple[float, float]:
-    """Joint density of a full configuration, evaluated along both routes.
-
-    Returns ``(product_form, determinant_form)``: the normalized product of
-    endpoint and transfer determinants, and the checked-kernel determinant
-    normalized by its own exhaustively measured total mass. The two agree on
-    any consistent instance; their difference is the working form of the
-    equivalence between the two density formulas.
-    """
-    from . import oracle  # deferred: oracle builds on this module's types
-
-    if not bases.is_plain():
-        raise ValueError("joint_density expects the plain (zero-weight) dual bases")
-    m, n = tables.m, tables.N
-    cfg = [tuple(int(p) for p in level) for level in config]
-    if len(cfg) != m or any(len(level) != n for level in cfg):
-        raise ShapeError(f"configuration must hold {n} node indices on each of "
-                         f"{m} levels")
-    enum = oracle.enumerate_configurations(tables, bases=bases)
-    value = float(np.linalg.det(bases.psi[0][:, cfg[0]]))
-    value *= float(np.linalg.det(bases.phi[m - 1][:, cfg[m - 1]]))
-    for j in range(m - 1):
-        value *= float(np.linalg.det(tables.g_values[j][np.ix_(cfg[j + 1], cfg[j])]))
-    product_form = value / enum.total_mass
-
-    zeros = WeightSet.zeros(tables.grids)
-    Kc = check_kernel(build_K(bases), build_g(tables, zeros))
-    det_form = float(np.linalg.det(_sample_matrix(Kc, cfg)))
-    det_form /= oracle.probnm_total_mass(enum, Kc)
-    return product_form, det_form
 
 
 @dataclass(frozen=True)
@@ -322,10 +286,13 @@ def theorem2_residuals_of(tables: ChainTables, plain: Dualization,
     del Kc, Ktc
 
     r_gg = _max_abs_diff(compose_w(g, weights, gt).matrix, g.matrix - gt.matrix)
-    # endpoint forms: Kt's level-1 rows carried up by g, K's level-m columns
-    # carried across by gt
-    left = _lift_first(g, tables.grids[0].weights, Kt.matrix[:K.offsets[1]])
-    right = _lift_last(K.matrix[:, K.offsets[-2]:], gt, dual_masses(tables, weights)[-1])
+    # endpoint forms: Kt's level-1 rows walked up the plain chain (masses mu),
+    # K's level-m columns walked down the dualized chain (masses mu (1 - w))
+    o = K.offsets
+    left = np.hstack(walk(tables, dual_masses(tables, plain.bases.weight_set),
+                          Kt.matrix[:o[1]].T, 1, upward=True)).T
+    right = np.hstack(walk(tables, dual_masses(tables, weights), K.matrix[:, o[-2]:],
+                           K.m, upward=False))
     r_kk = _max_abs_diff(compose_w(K, weights, Kt).matrix, left - right)
     r_gk = _max_abs_diff(compose_w(g, weights, Kt).matrix, left - Kt.matrix)
     r_kg = _max_abs_diff(compose_w(K, weights, gt).matrix, K.matrix - right)

@@ -29,6 +29,7 @@ from .biortho import (
     dual_bases,
     dual_masses,
     pairing_matrix,
+    walk,
 )
 from .chain import ChainTables, WeightSet, check_weights
 from .errors import ShapeError, StateError
@@ -86,19 +87,16 @@ def build_g(tables: ChainTables, weights: WeightSet) -> BlockKernel:
 
     Block (i, j), i > j, holds the level-j to level-i composite with
     diag(mu (1 - w)) at the intermediate levels; blocks with i <= j are zero.
-    Block (j + 1, j) is the stored transfer table g_j, and each block further
-    down carries the one above it a level up:
-    block(i, j) = g_{i-1} diag(e_{i-1}) block(i - 1, j), e = mu (1 - w).
+    Block column j is g_j^T walked up the chain from level j + 1 and
+    transposed back: block(i, j) = g_{i-1} diag(e_{i-1}) block(i - 1, j),
+    e = mu (1 - w), starting from the stored transfer table g_j.
     """
     e = dual_masses(tables, weights)
     o = np.cumsum([0] + [g.size for g in tables.grids])
     matrix = np.zeros((o[-1], o[-1]))
-    for i in range(2, tables.m + 1):
-        step = tables.g_values[i - 2]
-        matrix[o[i - 1]:o[i], o[i - 2]:o[i - 1]] = step
-        for j in range(1, i - 1):
-            above = matrix[o[i - 2]:o[i - 1], o[j - 1]:o[j]]
-            matrix[o[i - 1]:o[i], o[j - 1]:o[j]] = step @ (e[i - 2][:, None] * above)
+    for j in range(1, tables.m):
+        column = walk(tables, e, tables.g_values[j - 1].T, j + 1, upward=True)
+        matrix[o[j]:, o[j - 1]:o[j]] = np.hstack(column).T
     return BlockKernel(matrix=matrix, grids=tables.grids, checked=True, rank=None)
 
 
@@ -175,45 +173,21 @@ def compose_w(A: BlockKernel, weights: WeightSet, B: BlockKernel) -> BlockKernel
     return BlockKernel(matrix=matrix, grids=A.grids, checked=True, rank=None)
 
 
-def _lift_first(g: BlockKernel, e: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Carry level-1 rows to every level through the transfers of ``g``.
-
-    Returns the (sum n) x k array whose block i is g_i1 diag(e) rows for
-    i > 1 and ``rows`` itself for i = 1.
-    """
-    n1 = g.offsets[1]
-    out = g.matrix[:, :n1] @ (e[:, None] * rows)
-    out[:n1] = rows
-    return out
-
-
-def _lift_last(cols: np.ndarray, g: BlockKernel, e: np.ndarray) -> np.ndarray:
-    """Carry level-m columns to every level through the transfers of ``g``.
-
-    Returns the k x (sum n) array whose block j is cols diag(e) g_mj for
-    j < m and ``cols`` itself for j = m.
-    """
-    last = g.offsets[-2]
-    out = (cols * e[None, :]) @ g.matrix[last:, :]
-    out[:, last:] = cols
-    return out
-
-
 def kernel_via_inverse(tables: ChainTables, weights: WeightSet) -> BlockKernel:
-    """Projection kernel built without any PLU decomposition.
+    """Projection kernel built without any PLU decomposition or g.
 
-    The corner block on levels (1, m) is f^T A^{-T} h; every other block is
-    obtained by composing it with the transfer chain on the left and right
-    with the (1 - w) measure factors of levels 1 and m. Serves as an
-    independent construction oracle for build_K.
+    f walked up the chain and A^{-T} h walked down it give every block as
+    K_ij = f_i^T A^{-T} h_j, since the dual bases are (PL)^{-1} f and
+    U^{-T} h walked the same way. Serves as an independent construction
+    oracle for build_K.
     """
     A = pairing_matrix(tables, weights)
     check_conditioning(A)
     e = dual_masses(tables, weights)
-    g = build_g(tables, weights)
-    corner = tables.f_values.T @ np.linalg.solve(A.T, tables.h_values)
-    matrix = _lift_last(_lift_first(g, e[0], corner), g, e[-1])
-    return BlockKernel(matrix=matrix, grids=tables.grids, checked=False, rank=tables.N)
+    left = walk(tables, e, tables.f_values, 1, upward=True)
+    right = walk(tables, e, np.linalg.solve(A.T, tables.h_values), tables.m, upward=False)
+    return BlockKernel(matrix=np.hstack(left).T @ np.hstack(right), grids=tables.grids,
+                       checked=False, rank=tables.N)
 
 
 def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,
@@ -232,7 +206,15 @@ def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,
     if m == 1:
         return 0.0
     M = K.matrix
-    corner = _lift_last(_lift_first(g, e[0], K.block(1, m)), g, e[-1])
+    # block (1, m) carried to every level through g's composite blocks: down
+    # its rows by g_i1 diag(e_1), then across its columns by diag(e_m) g_mj
+    cols = g.matrix[:, :o[1]] @ (e[0][:, None] * K.block(1, m))
+    cols[:o[1]] = K.block(1, m)
+    corner = (cols * e[-1][None, :]) @ g.matrix[o[-2]:, :]
+    corner[:, o[-2]:] = cols
+    # freed before the products below: alive, it slows their allocations by
+    # about a tenth of this function's time at n = 256, m = 3
+    del cols
     down = np.vstack([tables.g_values[j] @ (e[j][:, None] * M[o[j]:o[j + 1]])
                       for j in range(m - 1)])
     up = np.hstack([(M[:, o[j + 1]:o[j + 2]] * e[j + 1][None, :]) @ tables.g_values[j]

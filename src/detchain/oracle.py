@@ -8,12 +8,15 @@ level, repeats allowed and automatically weightless) with
 
 and answers correlation / gap / exact-occupancy / count queries by direct
 summation over the normalized weights. Everything here is deliberately
-independent of the Fredholm machinery so the two can certify each other.
+independent of the Fredholm machinery so the two can certify each other;
+``joint_density`` sets the product-form density beside the checked-kernel
+determinant it must equal.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -21,9 +24,9 @@ import numpy as np
 
 from .biortho import DualBases, dual_bases
 from .chain import ChainTables, WeightSet, indicators, point_lists
-from .errors import NotAProbability
-from .fredholm import CountDistribution
-from .kernels import BlockKernel
+from .errors import NotAProbability, ShapeError
+from .fredholm import CountDistribution, correlation
+from .kernels import BlockKernel, build_K, build_g, check_kernel
 from .measure import DISCRETE
 
 MAX_CONFIGURATIONS = 10_000_000
@@ -83,6 +86,11 @@ class Enumeration:
         return float(np.einsum(spec, self.prob, *selectors))
 
 
+def labeled_configurations(tables: ChainTables) -> int:
+    """prod_j n_j^N: the number of labeled configurations, one N-tuple per level."""
+    return math.prod(g.size ** tables.N for g in tables.grids)
+
+
 def enumerate_configurations(tables: ChainTables,
                              bases: DualBases | None = None) -> Enumeration:
     """Enumerate all labeled configurations of a discrete instance.
@@ -94,9 +102,7 @@ def enumerate_configurations(tables: ChainTables,
     if any(g.kind != DISCRETE for g in tables.grids):
         raise ValueError("exhaustive enumeration needs discrete grids on all levels")
     m, n = tables.m, tables.N
-    total = 1
-    for g in tables.grids:
-        total *= g.size ** n
+    total = labeled_configurations(tables)
     if total > MAX_CONFIGURATIONS:
         raise ValueError(
             f"{total} labeled configurations exceed the cap {MAX_CONFIGURATIONS}"
@@ -228,3 +234,31 @@ def probnm_total_mass(enum: Enumeration, kernel: BlockKernel) -> float:
     spec = mass_axes + "," + ",".join(mass_axes) + "->"
     masses = [g.weights[t].prod(axis=1) for g, t in zip(enum.tables.grids, enum.tuples)]
     return float(np.einsum(spec, dets, *masses))
+
+
+def joint_density(bases, tables: ChainTables, config) -> tuple[float, float]:
+    """Joint density of a full configuration, evaluated along both routes.
+
+    Returns ``(product_form, determinant_form)``: the normalized product of
+    endpoint and transfer determinants, and the checked-kernel determinant
+    normalized by its own exhaustively measured total mass. The two agree on
+    any consistent instance; their difference is the working form of the
+    equivalence between the two density formulas.
+    """
+    if not bases.is_plain():
+        raise ValueError("joint_density expects the plain (zero-weight) dual bases")
+    m, n = tables.m, tables.N
+    cfg = [tuple(int(p) for p in level) for level in config]
+    if len(cfg) != m or any(len(level) != n for level in cfg):
+        raise ShapeError(f"configuration must hold {n} node indices on each of "
+                         f"{m} levels")
+    enum = enumerate_configurations(tables, bases=bases)
+    value = float(np.linalg.det(bases.psi[0][:, cfg[0]]))
+    value *= float(np.linalg.det(bases.phi[m - 1][:, cfg[m - 1]]))
+    for j in range(m - 1):
+        value *= float(np.linalg.det(tables.g_values[j][np.ix_(cfg[j + 1], cfg[j])]))
+    product_form = value / enum.total_mass
+
+    zeros = WeightSet.zeros(tables.grids)
+    Kc = check_kernel(build_K(bases), build_g(tables, zeros))
+    return product_form, correlation(Kc, cfg) / probnm_total_mass(enum, Kc)

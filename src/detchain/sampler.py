@@ -16,7 +16,7 @@ from .biortho import DualBases, dual_bases
 from .chain import ChainTables, WeightSet
 from .errors import NotAProbability, SignedDensityError
 from .measure import DISCRETE
-from .oracle import Configuration, enumerate_configurations
+from .oracle import Configuration, enumerate_configurations, labeled_configurations
 
 SINGLE_PARTICLE_NODE_HOP = "single_particle_node_hop"
 
@@ -85,10 +85,8 @@ def sample(tables: ChainTables, config: SamplerConfig,
     """
     if bases is None:
         bases = dual_bases(tables, WeightSet.zeros(tables.grids))
-    total = 1
-    for g in tables.grids:
-        total *= g.size ** tables.N
-    if all(g.kind == DISCRETE for g in tables.grids) and total <= _PRECHECK_LIMIT:
+    if (all(g.kind == DISCRETE for g in tables.grids)
+            and labeled_configurations(tables) <= _PRECHECK_LIMIT):
         enum = enumerate_configurations(tables, bases=bases)
         floor = -1e-12 * float(np.max(np.abs(enum.weights)))
         if float(enum.weights.min()) < floor:

@@ -192,6 +192,31 @@ def test_dual_bases_scalar_normalization():
     assert abs((bases.psi[0] @ (mu * bases.phi[0]).T).item() - 1.0) < 1e-14
 
 
+def test_walks_match_the_level_loops_bitwise():
+    """The pairing expressions and dual bases against the level loops the
+    chain walk replaced: the same products in the same order, so equal bits."""
+    for seed in range(40):
+        tables, ws = random_discrete_instance(seed, m=1 + seed % 5)
+        m, f, h, g = tables.m, tables.f_values, tables.h_values, tables.g_values
+        e = biortho.dual_masses(tables, ws)
+        back, fwd = h * e[m - 1], f * e[0]
+        for level in range(m - 2, -1, -1):
+            back = (back @ g[level]) * e[level]
+        for level in range(m - 1):
+            fwd = (fwd @ g[level].T) * e[level + 1]
+        a1, am = pairing_expressions(tables, ws)
+        np.testing.assert_array_equal(a1, f @ back.T)
+        np.testing.assert_array_equal(am, fwd @ h.T)
+        bases = dual_bases(tables, ws)
+        psi, phi = [bases.psi[0]], [bases.phi[m - 1]]
+        for level in range(1, m):
+            psi.append((psi[-1] * e[level - 1]) @ g[level - 1].T)
+        for level in range(m - 2, -1, -1):
+            phi.insert(0, (phi[0] * e[level + 1]) @ g[level])
+        for ours, theirs in zip(bases.psi + bases.phi, psi + phi):
+            np.testing.assert_array_equal(ours, theirs)
+
+
 def test_dual_bases_biorthogonality_on_seeded_instance():
     tables = seeded_chain(51, m=3, n=2, sizes=(5, 5, 5))
     ws = uniform_weights(tables, 52, high=0.5)

@@ -7,7 +7,7 @@ import pytest
 
 import detchain
 from detchain.cli import main, parse_instance
-from detchain.instances import monomial_discrete_config
+from detchain.instances import monomial_discrete_config, random_discrete_instance
 
 from .conftest import CONFIG_DIR, REPO_ROOT
 
@@ -412,11 +412,18 @@ def test_check_builds_each_weight_set_once(monkeypatch, capsys, name):
     counts = count_builders(monkeypatch,
                             BUILDERS + ("pairing_expressions", "pairing_matrix"))
     assert run(["check", "--config", config_path(name)]) == 0
-    # one dualization for w = 0 and one for w; the third g, pairing matrix and
+    # one dualization for w = 0 and one for w; the third pairing matrix and
     # pair of pairing expressions are the ones kernel_via_inverse builds for
     # itself as the independent reference. The pairing rows read the records.
-    assert counts == {"dual_bases": 2, "plu_decompose": 2, "build_K": 2, "build_g": 3,
+    assert counts == {"dual_bases": 2, "plu_decompose": 2, "build_K": 2, "build_g": 2,
                       "pairing_expressions": 3, "pairing_matrix": 1}
+
+
+def test_kernel_via_inverse_builds_no_g_and_no_plu(monkeypatch):
+    counts = count_builders(monkeypatch)
+    tables, weights = random_discrete_instance(5, m=3)
+    detchain.kernel_via_inverse(tables, weights)
+    assert counts == dict.fromkeys(BUILDERS, 0)
 
 
 @pytest.mark.parametrize("command", ["gap", "janossy", "correlate", "counts", "sample",

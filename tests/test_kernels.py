@@ -10,11 +10,13 @@ from detchain import (
     check_kernel,
     compose_w,
     dual_bases,
+    dualize,
     factorization_residual,
     from_tables,
     kernel_via_inverse,
     make_discrete_grid,
 )
+from detchain.fredholm import theorem2_residuals_of
 from detchain.instances import random_discrete_instance
 
 from .conftest import seeded_chain, two_point_chain, uniform_weights
@@ -234,3 +236,25 @@ def test_projection_property_on_dual_rows():
         assert np.max(np.abs(projected - bases.psi[level].T)) <= 1e-10 * max(1.0, K.max_abs())
         projected_t = block.T @ (e[:, None] * bases.phi[level].T)
         assert np.max(np.abs(projected_t - bases.phi[level].T)) <= 1e-10 * max(1.0, K.max_abs())
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_walked_constructions_meet_check_bounds(m):
+    """check's identity, construction and factorization rows on 40 seeded
+    instances with m levels, each held to the bound check gives it."""
+    worst = dict.fromkeys(("identity", "construction", "factorization"), 0.0)
+    for seed in range(40):
+        tables, ws = random_discrete_instance(seed, m=m)
+        zeros = WeightSet.zeros(tables.grids)
+        plain, dual = dualize(tables, zeros), dualize(tables, ws)
+        res = theorem2_residuals_of(tables, plain, dual)
+        worst["identity"] = max(worst["identity"],
+                                res.max_residual() / (1e-10 * res.scale))
+        diff = np.max(np.abs(dual.K.matrix - kernel_via_inverse(tables, ws).matrix))
+        worst["construction"] = max(worst["construction"],
+                                    diff / (1e-12 * max(1.0, dual.K.max_abs())))
+        for d, w in ((plain, zeros), (dual, ws)):
+            r = factorization_residual(d.K, d.g, tables, w)
+            worst["factorization"] = max(worst["factorization"],
+                                         r / (1e-11 * max(1.0, d.K.max_abs())))
+    assert max(worst.values()) <= 1.0, worst
