@@ -4,9 +4,11 @@
     python3 scripts/compare_outputs.py [REF]        (REF defaults to HEAD)
 
 Extracts REF with ``git archive`` into a temporary directory and writes the
-configs once: the four bundled ones, plus the seed-1 configs ``gl_chain``
-0-2, ``discrete_verify`` 0-5 and ``mcmc`` 0-1 of ``perfbench/workloads.py``
-(imported by path, read only). Each tree then runs the seven commands on
+configs once: the four bundled ones, two variants of ``discrete_m2n2`` (soft
+weight vectors with its task points; its indicator sets with task points
+outside them), plus the seed-1 configs ``gl_chain`` 0-2, ``discrete_verify``
+0-5 and ``mcmc`` 0-1 of ``perfbench/workloads.py`` (imported by path, read
+only). Each tree then runs the seven commands on
 every config in one subprocess, with BLAS pinned to one thread. Prints every
 difference in exit code, stdout, stderr or CSV.
 
@@ -53,11 +55,21 @@ def load_perfbench(name: str):
 
 
 def write_configs(directory: Path) -> list[Path]:
-    """The bundled configs and the workloads' seed-1 configs, one file each."""
+    """The bundled configs, their variants and the workloads' seed-1 configs,
+    one file each."""
     configs = []
     for name in BUNDLED:
         configs.append(directory / f"{name}.json")
         shutil.copyfile(REPO / "configs" / f"{name}.json", configs[-1])
+    # the Janossy density away from the indicator case: soft weights at the
+    # task points, and indicator sets that leave the task points out
+    raw = json.loads((REPO / "configs" / "discrete_m2n2.json").read_text())
+    soft = dict(raw, weights={"vectors": [[0.1 + 0.2 * k for k in range(len(g["points"]))]
+                                          for g in raw["grids"]]})
+    outside = dict(raw, task=dict(raw["task"], points=[[0], [1]]))
+    for name, variant in (("soft_points", soft), ("outside_points", outside)):
+        configs.append(directory / f"discrete_m2n2_{name}.json")
+        configs[-1].write_text(json.dumps(variant))
     workloads = load_perfbench("workloads")
     scratch = directory / "workloads"
     for name, cycles in WORKLOAD_CYCLES.items():

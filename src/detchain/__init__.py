@@ -1,8 +1,8 @@
 """Multilevel determinantal ensembles on finite grids.
 
 Weighted biorthogonal dual bases, block kernels, Fredholm determinants and
-resolvents, correlation / exact-occupancy densities, count statistics, an
-exhaustive enumeration oracle, and a Metropolis sampler. The headline check:
+resolvents, correlation densities, Janossy densities of arbitrary weight
+sets, count statistics, an exhaustive enumeration oracle, and a Metropolis sampler. The headline check:
 the Fredholm resolvent of the checked kernel composed with any weight set w
 coincides with the checked kernel of the (1 - w)-dualized construction, to
 machine precision on every discretized instance.
@@ -29,7 +29,6 @@ from .errors import (
     CompositionInconsistency,
     DegenerateBasis,
     DetchainError,
-    DomainError,
     DuplicateNode,
     InvalidInterval,
     InvalidWeight,
@@ -88,7 +87,6 @@ __all__ = [
     "CountDistribution",
     "DegenerateBasis",
     "DetchainError",
-    "DomainError",
     "DualBases",
     "Dualization",
     "DuplicateNode",

@@ -184,10 +184,6 @@ class WeightSet:
     def ones(cls, grids) -> "WeightSet":
         return cls(tuple(np.ones(g.size) for g in grids))
 
-    def complement(self) -> "WeightSet":
-        """The weight set 1 - w_j, the one actually paired against."""
-        return WeightSet(tuple(1.0 - v for v in self.w))
-
     def is_indicator(self) -> bool:
         return all(np.all((v == 0.0) | (v == 1.0)) for v in self.w)
 

@@ -464,10 +464,9 @@ def cmd_oracle(inst: InstanceConfig, plain: Dualization, args):
         lib = correlation(kernel, inst.task.points)
         ora = oracle_correlation(enum, inst.task.points)
         rows.append(("correlation", ora, lib, abs(lib - ora), 1e-10))
-        if inst.weights.is_indicator():
-            lib = janossy(kernel, inst.weights, inst.task.points)
-            ora = oracle_janossy(enum, inst.weights, inst.task.points)
-            rows.append(("janossy_density", ora, lib, abs(lib - ora), 1e-10))
+        lib = janossy(kernel, inst.weights, inst.task.points)
+        ora = oracle_janossy(enum, inst.weights, inst.task.points)
+        rows.append(("janossy_density", ora, lib, abs(lib - ora), 1e-10))
 
     if inst.weight_intervals is not None:
         lib_dist = gap_generating_function(kernel, inst.weight_intervals,
@@ -497,8 +496,7 @@ _COMMANDS = {
 
 # what each command needs beyond the chain: (what, whether the instance has it)
 _PREREQUISITES = {
-    "janossy": (("task.points", lambda inst: inst.task.points is not None),
-                ("indicator weights", lambda inst: inst.weights.is_indicator())),
+    "janossy": (("task.points", lambda inst: inst.task.points is not None),),
     "correlate": (("task.points", lambda inst: inst.task.points is not None),),
     "counts": (("interval-type weights", lambda inst: inst.weight_intervals is not None),),
     "sample": (("task.sampler", lambda inst: inst.task.sampler is not None),),
@@ -515,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     descriptions = {
         "check": "verify the resolvent identity and all residual identities",
         "gap": "Fredholm determinant (gap probability for indicator weights)",
-        "janossy": "exact-occupancy density at the configured points",
+        "janossy": "Janossy density of the weights at the configured points",
         "correlate": "correlation function at the configured points",
         "counts": "count distribution over the configured interval system",
         "sample": "Metropolis run with empirical gap estimate",

@@ -51,10 +51,6 @@ class ResolventSingular(DetchainError):
     """Fredholm determinant vanishes; the resolvent does not exist."""
 
 
-class DomainError(DetchainError):
-    """Evaluation point lies outside the support required by the operation."""
-
-
 class NotAProbability(DetchainError):
     """Total configuration mass is nonpositive or non-finite."""
 

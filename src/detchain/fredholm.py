@@ -25,7 +25,7 @@ import numpy as np
 
 from .biortho import dual_masses, walk
 from .chain import ChainTables, WeightSet, indicators, point_lists
-from .errors import DomainError, ResolventSingular, StateError
+from .errors import ResolventSingular, StateError
 from .kernels import (
     BlockKernel,
     Dualization,
@@ -126,24 +126,17 @@ def correlation(Kc: BlockKernel, points) -> float:
 
 
 def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
-    """Density of finding exactly the given points inside the indicator sets.
+    """Janossy density of the points under the weights w.
 
-    ``weights`` must be indicator-type (entries 0 or 1) and every point must
-    lie where the level's indicator equals 1. The value is the Fredholm
-    determinant times the determinant of the sampled resolvent; with no
-    points it reduces to the gap probability itself.
+    J^w(x) = E[sum over the placements of x in X of prod (1 - w(y)) over the
+    other points y of X] / mu(x), for arbitrary real w and points anywhere;
+    for indicator w and points inside the sets it is the density of finding
+    exactly those points there. The value is the Fredholm determinant times
+    the determinant of the sampled resolvent; with no points it reduces to
+    det(1 - Kc o w) itself.
     """
-    _require_checked(Kc)
-    if not weights.is_indicator():
-        raise ValueError("Janossy densities are defined for indicator weight sets")
-    lists = point_lists(Kc.grids, points)
-    for level, pts in enumerate(lists):
-        for p in pts:
-            if weights.w[level][p] != 1.0:
-                raise DomainError(
-                    f"point {p} on level {level + 1} lies outside the indicator set"
-                )
-    const, R = _sampled_resolvent(Kc, weights, _node_index(Kc, lists))
+    idx = _node_index(Kc, point_lists(Kc.grids, points))
+    const, R = _sampled_resolvent(Kc, weights, idx)
     return const * float(np.linalg.det(R))
 
 

@@ -6,7 +6,7 @@ level, repeats allowed and automatically weightless) with
     weight = det(psi(x^(1))) det(phi(x^(m))) prod_j det(g(x^(j+1), x^(j)))
              * product of node masses,
 
-and answers correlation / gap / exact-occupancy / count queries by direct
+and answers correlation / gap / Janossy / count queries by direct
 summation over the normalized weights. Everything here is deliberately
 independent of the Fredholm machinery so the two can certify each other;
 ``joint_density`` sets the product-form density beside the checked-kernel
@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -64,13 +63,6 @@ class Enumeration:
     @property
     def N(self) -> int:
         return self.tables.N
-
-    def configurations(self) -> Iterator[Configuration]:
-        for idx in np.ndindex(self.prob.shape):
-            nodes = tuple(
-                tuple(int(q) for q in self.tuples[j][idx[j]]) for j in range(self.m)
-            )
-            yield Configuration(nodes=nodes, weight=float(self.weights[idx]))
 
     # -- per-level helper arrays -------------------------------------------
     def node_counts(self, level: int) -> np.ndarray:
@@ -169,21 +161,27 @@ def oracle_gap(enum: Enumeration, weights: WeightSet) -> float:
 
 
 def oracle_janossy(enum: Enumeration, weights: WeightSet, points) -> float:
-    """Density of the configurations whose restriction to each indicator set
-    is exactly the given point multiset."""
+    """Janossy density: the expectation, over the placements of the points in
+    the configuration, of prod (1 - w) over its other points, divided by the
+    masses of the points.
+
+    Per level a tuple counts when its node counts cover the points'
+    multiset, weighted by prod (1 - w)^(count - target); for indicator w and
+    points inside the sets, the tuples whose restriction to the sets is
+    exactly the points.
+    """
     pts = point_lists(enum.tables.grids, points)
     selectors = []
     mass = 1.0
     for level, p in enumerate(pts):
-        w = weights.w[level]
         target = np.zeros(enum.tables.grids[level].size, dtype=int)
         for q in p:
             target[q] += 1
             mass *= enum.tables.grids[level].weights[q]
-        counts = enum.node_counts(level)
-        inside = w != 0.0
-        ok = np.all(counts[:, inside] == target[None, inside], axis=1)
-        selectors.append(ok.astype(float))
+        excess = enum.node_counts(level) - target
+        covers = np.all(excess >= 0, axis=1)
+        factors = (1.0 - weights.w[level]) ** np.maximum(excess, 0)
+        selectors.append(np.where(covers, factors.prod(axis=1), 0.0))
     return float(enum.expectation(selectors) / mass)
 
 

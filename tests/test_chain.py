@@ -138,6 +138,5 @@ def test_weight_set_rejects_non_finite():
 def test_weight_set_helpers():
     grid = make_discrete_grid([0.0, 1.0], [1.0, 1.0])
     ws = WeightSet.ones([grid])
-    np.testing.assert_array_equal(ws.complement().w[0], [0.0, 0.0])
     assert ws.is_indicator()
     assert not WeightSet((np.array([0.3, 0.0]),)).is_indicator()

@@ -9,7 +9,7 @@ import detchain
 from detchain.cli import main, parse_instance
 from detchain.instances import monomial_discrete_config, random_discrete_instance
 
-from .conftest import CONFIG_DIR, REPO_ROOT
+from .conftest import CONFIG_DIR, REPO_ROOT, soft_m2n2
 
 
 def run(args):
@@ -70,6 +70,28 @@ def test_janossy_and_correlate_run(tmp_path, capsys):
 def test_oracle_command_passes():
     for name in ("discrete_m1n2", "discrete_m2n2", "discrete_m3n2"):
         assert run(["oracle", "--config", config_path(name)]) == 0
+
+
+def _points_outside_the_sets():
+    """discrete_m2n2 with its task points on nodes its indicator sets leave out."""
+    raw = json.loads(config_path("discrete_m2n2").read_text())
+    raw["task"]["points"] = [[0], [1]]
+    return raw
+
+
+@pytest.mark.parametrize("raw, rows", [(soft_m2n2(), 3), (_points_outside_the_sets(), 4)],
+                         ids=["soft_weights", "points_outside_the_sets"])
+def test_janossy_and_oracle_take_any_weights_and_points(tmp_path, capsys, raw, rows):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert run(["janossy", "--config", path]) == 0
+    value = float(capsys.readouterr().out)
+    out = tmp_path / "oracle.csv"
+    assert run(["oracle", "--config", path, "--out", out]) == 0
+    verdicts = capsys.readouterr().out.splitlines()[1:]
+    assert len(verdicts) == rows and all(v.startswith("PASS") for v in verdicts)
+    library = {r["quantity"]: float(r["library"]) for r in read_csv(out)}
+    assert library["janossy_density"] == value
 
 
 @pytest.mark.parametrize("raw, reason", [
@@ -142,11 +164,9 @@ def _burn_in_at_steps(cfg):
      "sample needs task.sampler in the config"),
     ("gap", _burn_in_at_steps, "field task/sampler"),
     ("sample", _burn_in_at_steps, "field task/sampler"),
-    ("janossy", lambda cfg: cfg.update(weights={"vectors": [[0.0, 0.0, 0.5, 0.5, 0.5]]}),
-     "janossy needs indicator weights"),
 ], ids=["grids_count", "tabulated_without_tables", "tables_f_rows", "overlapping_intervals",
         "repeated_point", "counts_without_intervals", "sample_without_sampler",
-        "burn_in_at_steps_gap", "burn_in_at_steps_sample", "janossy_soft_weights"])
+        "burn_in_at_steps_gap", "burn_in_at_steps_sample"])
 def test_config_error_branches_exit_2(tmp_path, capsys, command, mutate, fragment):
     cfg = json.loads(config_path("discrete_m1n2").read_text())
     mutate(cfg)
@@ -220,6 +240,15 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert run(["check", "--config", path]) == 3
     assert "SingularPairing" in capsys.readouterr().err
+
+
+def test_every_error_class_has_a_raise_site():
+    # the base class is only caught; every other class must be raised somewhere
+    source = "\n".join(p.read_text() for p in (REPO_ROOT / "src" / "detchain").glob("*.py"))
+    for name, cls in vars(detchain.errors).items():
+        if isinstance(cls, type) and issubclass(cls, detchain.DetchainError) \
+                and cls is not detchain.DetchainError:
+            assert re.search(rf"raise {name}\b", source), name
 
 
 def test_sample_outputs_are_byte_identical(tmp_path):

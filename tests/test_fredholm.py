@@ -3,7 +3,6 @@ import pytest
 
 from detchain import (
     BlockKernel,
-    DomainError,
     ResolventSingular,
     ShapeError,
     StateError,
@@ -140,22 +139,6 @@ def test_janossy_empty_points_is_gap_probability():
     const = fredholm_det(Kc, inst.weights)
     value = janossy(Kc, inst.weights, [[] for _ in range(inst.tables.m)])
     assert abs(value - const) < 1e-14
-
-
-def test_janossy_requires_indicator_weights():
-    inst = positive_instance()
-    _, Kc = checked_kernel(inst.tables)
-    soft = WeightSet(tuple(0.5 * w for w in inst.weights.w))
-    with pytest.raises(ValueError):
-        janossy(Kc, soft, inst.task.points)
-
-
-def test_janossy_rejects_point_outside_support():
-    inst = positive_instance()
-    _, Kc = checked_kernel(inst.tables)
-    outside = [[int(np.flatnonzero(w == 0.0)[0])] for w in inst.weights.w]
-    with pytest.raises(DomainError):
-        janossy(Kc, inst.weights, outside)
 
 
 def test_joint_density_rank_one_identity():

@@ -30,7 +30,7 @@ from detchain import (
 from detchain import oracle
 from detchain.oracle import Enumeration
 from detchain.cli import parse_instance
-from detchain.instances import monomial_discrete_config
+from detchain.instances import monomial_discrete_config, random_discrete_instance
 
 from .conftest import soft_m2n2, two_point_chain
 
@@ -101,14 +101,6 @@ def test_weights_symmetric_under_relabeling():
         swapped = lookup[t[::-1]]
         np.testing.assert_allclose(enum.weights[idx], enum.weights[swapped],
                                    rtol=1e-12, atol=1e-300)
-
-
-def test_configurations_iterator_matches_tensor():
-    tables = two_point_chain()
-    enum = enumerate_configurations(tables)
-    configs = list(enum.configurations())
-    assert len(configs) == 2
-    assert abs(sum(c.weight for c in configs) - enum.total_mass) < 1e-14
 
 
 def test_oracle_correlation_empty_and_sum_rule():
@@ -185,6 +177,48 @@ def test_janossy_matches_oracle():
     lib = janossy(kernel, inst.weights, inst.task.points)
     ora = oracle_janossy(enum, inst.weights, inst.task.points)
     assert abs(lib - ora) <= 1e-10 * max(1.0, abs(lib))
+
+
+@pytest.mark.parametrize("m, sizes", [(2, (4, 6)), (3, (6, 4, 5))])
+def test_oracle_janossy_keeps_the_indicator_selectors_bitwise(m, sizes):
+    # indicator weights, points inside the sets: the 0/1 selectors of the
+    # tuples whose restriction to the sets is exactly the points
+    for seed in range(10):
+        inst, _, _, enum = positive_setup(seed=seed, m=m, sizes=sizes)
+        selectors, mass = [], 1.0
+        for level, (w, p) in enumerate(zip(inst.weights.w, inst.task.points)):
+            target = np.bincount(p, minlength=w.size)
+            inside = w != 0.0
+            selectors.append(np.all(enum.node_counts(level)[:, inside] == target[inside],
+                                    axis=1).astype(float))
+            for q in p:
+                mass *= inst.tables.grids[level].weights[q]
+        expected = float(enum.expectation(selectors) / mass)
+        assert oracle_janossy(enum, inst.weights, inst.task.points) == expected
+
+
+@pytest.mark.parametrize("indicator", [False, True], ids=["soft", "indicator"])
+def test_janossy_matches_oracle_on_random_instances(indicator):
+    # arbitrary weights, 0-2 distinct points per level anywhere on the grid
+    levels, sides = set(), set()
+    for seed in range(60):
+        tables, weights = random_discrete_instance(seed, N=2, indicator=indicator)
+        zeros = WeightSet.zeros(tables.grids)
+        bases = dual_bases(tables, zeros)
+        kernel = check_kernel(build_K(bases), build_g(tables, zeros))
+        enum = enumerate_configurations(tables, bases=bases)
+        rng = np.random.default_rng(1000 + seed)
+        for _ in range(3):
+            points = [sorted(rng.choice(g.size, int(rng.integers(0, 3)), replace=False))
+                      for g in tables.grids]
+            lib = janossy(kernel, weights, points)
+            ora = oracle_janossy(enum, weights, points)
+            assert abs(lib - ora) <= 1e-10 * max(1.0, abs(lib)), (seed, points)
+            levels.add(tables.m)
+            sides.update("inside" if w[p] != 0.0 else "outside"
+                         for w, level in zip(weights.w, points) for p in level)
+    assert levels == {1, 2, 3}
+    assert sides == ({"inside", "outside"} if indicator else {"inside"})
 
 
 def test_oracle_counts_trivial_and_marginal():
