@@ -6,11 +6,13 @@
 Extracts REF with ``git archive`` into a temporary directory and writes the
 configs once: the four bundled ones, two variants of ``discrete_m2n2`` (soft
 weight vectors with its task points; its indicator sets with task points
-outside them), plus the seed-1 configs ``gl_chain`` 0-2, ``discrete_verify``
-0-5 and ``mcmc`` 0-1 of ``perfbench/workloads.py`` (imported by path, read
-only). Each tree then runs the seven commands on
-every config in one subprocess, with BLAS pinned to one thread. Prints every
-difference in exit code, stdout, stderr or CSV.
+outside them), two monomial chains with more than 10^7 labeled tuples
+(m, N = 3, 3 on 7 nodes per level and 4, 2 on 8; no sampler section), plus
+the seed-1 configs ``gl_chain`` 0-2, ``discrete_verify`` 0-5 and ``mcmc``
+0-1 of ``perfbench/workloads.py`` (imported by path, read only). Each tree
+then runs the seven commands on every config in one subprocess, with BLAS
+pinned to one thread. Prints every difference in exit code, stdout, stderr
+or CSV.
 
 A third subprocess runs the benchmark's own correctness test on the working
 tree: each workload config through that workload's commands, every output
@@ -55,8 +57,10 @@ def load_perfbench(name: str):
 
 
 def write_configs(directory: Path) -> list[Path]:
-    """The bundled configs, their variants and the workloads' seed-1 configs,
-    one file each."""
+    """The bundled configs, their variants, two chains beyond 10^7 labeled
+    tuples and the workloads' seed-1 configs, one file each."""
+    from detchain.instances import monomial_discrete_config
+
     configs = []
     for name in BUNDLED:
         configs.append(directory / f"{name}.json")
@@ -70,6 +74,13 @@ def write_configs(directory: Path) -> list[Path]:
     for name, variant in (("soft_points", soft), ("outside_points", outside)):
         configs.append(directory / f"discrete_m2n2_{name}.json")
         configs[-1].write_text(json.dumps(variant))
+    # two chains with few N-subsets but more than 10^7 labeled tuples, and no
+    # sampler section, so that ``sample`` exits 2 at once
+    for seed, m, n, sizes in ((7, 3, 3, (7, 7, 7)), (7, 4, 2, (8, 8, 8, 8))):
+        raw = monomial_discrete_config(seed, m, n, sizes)
+        del raw["task"]["sampler"]
+        configs.append(directory / f"monomial_m{m}n{n}.json")
+        configs[-1].write_text(json.dumps(raw))
     workloads = load_perfbench("workloads")
     scratch = directory / "workloads"
     for name, cycles in WORKLOAD_CYCLES.items():

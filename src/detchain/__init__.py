@@ -64,7 +64,6 @@ from .kernels import (
 )
 from .measure import Grid, integrate, make_discrete_grid, make_gauss_legendre_grid
 from .oracle import (
-    Configuration,
     Enumeration,
     enumerate_configurations,
     joint_density,
@@ -74,7 +73,7 @@ from .oracle import (
     oracle_janossy,
     probnm_total_mass,
 )
-from .sampler import SamplerConfig, configuration_weight, empirical_gap, sample
+from .sampler import Configuration, SamplerConfig, configuration_weight, empirical_gap, sample
 
 __version__ = "0.1.0"
 

@@ -106,25 +106,6 @@ def _node_index(kernel: BlockKernel, lists) -> np.ndarray:
                      for p in pts], dtype=int)
 
 
-def _sample_matrix(kernel: BlockKernel, points, limit: int | None = None) -> np.ndarray:
-    """Cross-level sample matrix kernel(x_a^(i), x_b^(j)) over the point lists."""
-    idx = _node_index(kernel, point_lists(kernel.grids, points, limit))
-    return kernel.matrix[np.ix_(idx, idx)]
-
-
-def correlation(Kc: BlockKernel, points) -> float:
-    """Correlation function: determinant of the sampled checked kernel.
-
-    ``points`` holds, per level, the node indices of the evaluation points
-    (at most the kernel rank per level). The empty point set gives 1.
-    """
-    _require_checked(Kc)
-    S = _sample_matrix(Kc, points, Kc.rank)
-    if S.shape[0] == 0:
-        return 1.0
-    return float(np.linalg.det(S))
-
-
 def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
     """Janossy density of the points under the weights w.
 
@@ -138,6 +119,16 @@ def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
     idx = _node_index(Kc, point_lists(Kc.grids, points))
     const, R = _sampled_resolvent(Kc, weights, idx)
     return const * float(np.linalg.det(R))
+
+
+def correlation(Kc: BlockKernel, points) -> float:
+    """Correlation function: the Janossy density at w = 0, the determinant of
+    the sampled checked kernel.
+
+    ``points`` holds, per level, the node indices of the evaluation points
+    (at most the kernel rank per level). The empty point set gives 1.
+    """
+    return janossy(Kc, WeightSet.zeros(Kc.grids), point_lists(Kc.grids, points, Kc.rank))
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,22 @@
 """Exhaustive ground truth on small discrete instances.
 
-Enumerates every labeled configuration (one node tuple of length N per
-level, repeats allowed and automatically weightless) with
+Enumerates every configuration (one N-subset of nodes per level, listed
+in increasing order) with
 
     weight = det(psi(x^(1))) det(phi(x^(m))) prod_j det(g(x^(j+1), x^(j)))
              * product of node masses,
 
-and answers correlation / gap / Janossy / count queries by direct
-summation over the normalized weights. Everything here is deliberately
-independent of the Fredholm machinery so the two can certify each other;
-``joint_density`` sets the product-form density beside the checked-kernel
-determinant it must equal.
+and answers gap / Janossy / count queries by direct summation over the
+normalized weights; the correlation function is the Janossy density at
+w = 0. Everything here is deliberately independent of the Fredholm
+machinery so the two can certify each other; ``joint_density`` sets the
+product-form density beside the checked-kernel determinant it must equal.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +31,9 @@ MAX_CONFIGURATIONS = 10_000_000
 _EINSUM_AXES = "abcdefghijklmnop"
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """One labeled configuration: per level, N node indices, plus its weight."""
-
-    nodes: tuple[tuple[int, ...], ...]
-    weight: float
-
-
 class Enumeration:
-    """All labeled configurations of a discrete instance with their weights."""
+    """All configurations of a discrete instance, one N-subset per level, with
+    their weights."""
 
     def __init__(self, tables: ChainTables, bases: DualBases,
                  tuples: list[np.ndarray], weights: np.ndarray):
@@ -66,7 +58,7 @@ class Enumeration:
 
     # -- per-level helper arrays -------------------------------------------
     def node_counts(self, level: int) -> np.ndarray:
-        """(tuples, nodes) matrix of how often each node occurs in each tuple."""
+        """(configurations, nodes) 0/1 matrix of the nodes each level's subset holds."""
         tup = self.tuples[level]
         n = self.tables.grids[level].size
         return (tup[:, :, None] == np.arange(n)[None, None, :]).sum(axis=1)
@@ -78,26 +70,26 @@ class Enumeration:
         return float(np.einsum(spec, self.prob, *selectors))
 
 
-def labeled_configurations(tables: ChainTables) -> int:
-    """prod_j n_j^N: the number of labeled configurations, one N-tuple per level."""
-    return math.prod(g.size ** tables.N for g in tables.grids)
+def configuration_count(tables: ChainTables) -> int:
+    """prod_j C(n_j, N): the number of configurations, one N-subset per level."""
+    return math.prod(math.comb(g.size, tables.N) for g in tables.grids)
 
 
 def enumerate_configurations(tables: ChainTables,
                              bases: DualBases | None = None) -> Enumeration:
-    """Enumerate all labeled configurations of a discrete instance.
+    """Enumerate all configurations of a discrete instance, one N-subset per level.
 
-    Refuses instances with more than MAX_CONFIGURATIONS labeled tuples.
+    Refuses instances with more than MAX_CONFIGURATIONS configurations.
     ``bases`` may pass in precomputed plain dual bases; they are rebuilt with
     zero weights otherwise.
     """
     if any(g.kind != DISCRETE for g in tables.grids):
         raise ValueError("exhaustive enumeration needs discrete grids on all levels")
     m, n = tables.m, tables.N
-    total = labeled_configurations(tables)
+    total = configuration_count(tables)
     if total > MAX_CONFIGURATIONS:
         raise ValueError(
-            f"{total} labeled configurations exceed the cap {MAX_CONFIGURATIONS}"
+            f"{total} configurations exceed the cap {MAX_CONFIGURATIONS}"
         )
     if bases is None:
         bases = dual_bases(tables, WeightSet.zeros(tables.grids))
@@ -105,7 +97,7 @@ def enumerate_configurations(tables: ChainTables,
         raise ValueError("enumeration weights use the plain (zero-weight) dual bases")
 
     tuples = [
-        np.array(list(itertools.product(range(g.size), repeat=n)), dtype=int)
+        np.array(list(itertools.combinations(range(g.size), n)), dtype=int)
         for g in tables.grids
     ]
     mass_prod = [g.weights[t].prod(axis=1) for g, t in zip(tables.grids, tuples)]
@@ -133,24 +125,11 @@ def enumerate_configurations(tables: ChainTables,
 
 
 def oracle_correlation(enum: Enumeration, points) -> float:
-    """Correlation density: probability that all listed nodes are occupied,
-    divided by the masses of the listed nodes."""
-    pts = point_lists(enum.tables.grids, points)
-    if all(len(p) == 0 for p in pts):
+    """Correlation density: the Janossy density at w = 0, the probability that
+    all listed nodes are occupied divided by their masses."""
+    if all(len(p) == 0 for p in point_lists(enum.tables.grids, points)):
         return 1.0
-    for p in pts:
-        if len(set(p)) != len(p):
-            return 0.0  # a level cannot occupy one node twice
-    selectors = []
-    mass = 1.0
-    for level, p in enumerate(pts):
-        counts = enum.node_counts(level)
-        sel = np.ones(len(enum.tuples[level]))
-        for q in p:
-            sel *= (counts[:, q] > 0).astype(float)
-            mass *= enum.tables.grids[level].weights[q]
-        selectors.append(sel)
-    return float(enum.expectation(selectors) / mass)
+    return oracle_janossy(enum, WeightSet.zeros(enum.tables.grids), points)
 
 
 def oracle_gap(enum: Enumeration, weights: WeightSet) -> float:
@@ -165,10 +144,10 @@ def oracle_janossy(enum: Enumeration, weights: WeightSet, points) -> float:
     the configuration, of prod (1 - w) over its other points, divided by the
     masses of the points.
 
-    Per level a tuple counts when its node counts cover the points'
-    multiset, weighted by prod (1 - w)^(count - target); for indicator w and
-    points inside the sets, the tuples whose restriction to the sets is
-    exactly the points.
+    Per level a subset counts when it holds the points' multiset (so never
+    for a repeated point), weighted by prod (1 - w) over its other nodes; for
+    indicator w and points inside the sets, the subsets whose restriction to
+    the sets is exactly the points.
     """
     pts = point_lists(enum.tables.grids, points)
     selectors = []
@@ -205,12 +184,11 @@ def oracle_counts(enum: Enumeration, intervals) -> CountDistribution:
 
 
 def probnm_total_mass(enum: Enumeration, kernel: BlockKernel) -> float:
-    """Sum over all labeled configurations of the sampled-kernel determinant
-    times the configuration's node masses.
+    """Sum over all configurations of the sampled-kernel determinant times the
+    configuration's node masses.
 
     Measures the normalization linking the determinant form of the joint
-    density to the product form; with N points per level on m levels the
-    exact value is (N!)^m.
+    density to the product form; over N-subsets the exact value is 1.
     """
     m, n = enum.m, enum.N
     sizes = [len(t) for t in enum.tuples]

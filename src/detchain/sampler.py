@@ -16,12 +16,20 @@ from .biortho import DualBases, dual_bases
 from .chain import ChainTables, WeightSet
 from .errors import NotAProbability, SignedDensityError
 from .measure import DISCRETE
-from .oracle import Configuration, enumerate_configurations, labeled_configurations
+from .oracle import configuration_count, enumerate_configurations
 
 SINGLE_PARTICLE_NODE_HOP = "single_particle_node_hop"
 
-# labeled-configuration count up to which the exhaustive positivity precheck runs
+# N-subset configurations up to which the exhaustive positivity precheck runs
 _PRECHECK_LIMIT = 100_000
+
+
+@dataclass(frozen=True)
+class Configuration:
+    """One labeled chain state: per level, N node indices, plus its weight."""
+
+    nodes: tuple[tuple[int, ...], ...]
+    weight: float
 
 
 @dataclass(frozen=True)
@@ -86,7 +94,7 @@ def sample(tables: ChainTables, config: SamplerConfig,
     if bases is None:
         bases = dual_bases(tables, WeightSet.zeros(tables.grids))
     if (all(g.kind == DISCRETE for g in tables.grids)
-            and labeled_configurations(tables) <= _PRECHECK_LIMIT):
+            and configuration_count(tables) <= _PRECHECK_LIMIT):
         enum = enumerate_configurations(tables, bases=bases)
         floor = -1e-12 * float(np.max(np.abs(enum.weights)))
         if float(enum.weights.min()) < floor:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from detchain import (
 )
 from detchain import oracle
 from detchain.oracle import Enumeration
+from detchain.sampler import configuration_weight
 from detchain.cli import parse_instance
 from detchain.instances import monomial_discrete_config, random_discrete_instance
 
@@ -46,14 +48,14 @@ def positive_setup(seed=77, m=2, N=2, sizes=(4, 4), raw=None, **kwargs):
     return inst, bases, kernel, enum
 
 
-def test_total_mass_is_factorial_power():
-    # normalized dual bases make the total mass exactly (N!)^m
+def test_total_mass_is_one():
+    # normalized dual bases make the total mass over N-subsets exactly 1
     tables = two_point_chain()
     enum = enumerate_configurations(tables)
     assert abs(enum.total_mass - 1.0) < 1e-14
 
     inst, _, _, enum = positive_setup(seed=5, m=2, N=2, sizes=(4, 4))
-    assert abs(enum.total_mass - math.factorial(2) ** 2) < 1e-10
+    assert abs(enum.total_mass - 1.0) < 1e-10
 
 
 def test_rank_exceeding_grid_is_rejected_upstream():
@@ -93,14 +95,25 @@ def test_normalized_weights_sum_to_one():
 
 
 def test_weights_symmetric_under_relabeling():
-    _, _, _, enum = positive_setup(seed=11)
-    tup = enum.tuples[0]
-    # tuples (a, b) and (b, a) index transposed labeled configurations
-    lookup = {tuple(t): i for i, t in enumerate(map(tuple, tup))}
-    for idx, t in enumerate(map(tuple, tup)):
-        swapped = lookup[t[::-1]]
-        np.testing.assert_allclose(enum.weights[idx], enum.weights[swapped],
-                                   rtol=1e-12, atol=1e-300)
+    # brute force over labeled states, one N-tuple per level: a state with
+    # distinct nodes weighs as much as its sorted N-subset, one with a repeated
+    # node nothing, so the labeled total is (N!)^m times the subset total
+    for m, N, seed in itertools.product((1, 2, 3), (1, 2), (0, 1)):
+        tables, _ = random_discrete_instance(seed, m=m, N=N, sizes=(4,) * m)
+        bases = dual_bases(tables, WeightSet.zeros(tables.grids))
+        enum = enumerate_configurations(tables, bases=bases)
+        index = [{tuple(t): i for i, t in enumerate(tup.tolist())} for tup in enum.tuples]
+        labeled = 0.0
+        for state in itertools.product(*(itertools.product(range(g.size), repeat=N)
+                                         for g in tables.grids)):
+            weight = configuration_weight(tables, bases, [list(s) for s in state])
+            labeled += weight
+            if all(len(set(s)) == N for s in state):
+                subset = enum.weights[tuple(level[tuple(sorted(s))]
+                                            for level, s in zip(index, state))]
+                assert abs(weight - subset) <= 1e-12 * abs(subset), (m, N, seed, state)
+        expected = math.factorial(N) ** m * enum.total_mass
+        assert abs(labeled - expected) <= 1e-12 * abs(expected), (m, N, seed)
 
 
 def test_oracle_correlation_empty_and_sum_rule():
@@ -244,15 +257,32 @@ def test_counts_match_generating_function():
     assert abs(lib.total - 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("seed, m, N, sizes", [(7, 3, 3, (7, 7, 7)), (8, 4, 2, (6, 6, 6, 6))],
+                         ids=["m3n3", "m4n2"])
+def test_oracle_reaches_three_points_and_four_levels(seed, m, N, sizes):
+    # 4.3e4 and 5.1e4 N-subsets; the first instance has 4.0e7 labeled tuples
+    inst, _, kernel, enum = positive_setup(seed=seed, m=m, N=N, sizes=sizes)
+    det = fredholm_det(kernel, inst.weights)
+    assert abs(det - oracle_gap(enum, inst.weights)) <= 1e-10
+    points = inst.task.points
+    for lib, ora in ((correlation(kernel, points), oracle_correlation(enum, points)),
+                     (janossy(kernel, inst.weights, points),
+                      oracle_janossy(enum, inst.weights, points))):
+        assert abs(lib - ora) <= 1e-10 * max(1.0, abs(lib))
+    lib = gap_generating_function(kernel, inst.weight_intervals)
+    ora = oracle_counts(enum, inst.weight_intervals)
+    keys = set(lib.probabilities) | set(ora.probabilities)
+    assert max(abs(lib.probability(k) - ora.probability(k)) for k in keys) <= 1e-8
+
+
 def test_probnm_normalization_convention():
     inst, bases, kernel, enum = positive_setup(seed=43, m=2, N=2)
     total = probnm_total_mass(enum, kernel)
-    assert abs(total - math.factorial(2) ** 2) <= 1e-10 * math.factorial(2) ** 2
+    assert abs(total - 1.0) <= 1e-10
 
 
 def test_probnm_normalization_three_levels():
     inst, bases, kernel, enum = positive_setup(seed=47, m=3, N=2, sizes=(4, 4, 4),
                                                coupling=0.5)
     total = probnm_total_mass(enum, kernel)
-    expected = math.factorial(2) ** 3
-    assert abs(total - expected) <= 1e-9 * expected
+    assert abs(total - 1.0) <= 1e-9

@@ -17,7 +17,7 @@ from detchain import (
 )
 from detchain.sampler import configuration_weight
 from detchain.cli import parse_instance
-from detchain.instances import monomial_discrete_config
+from detchain.instances import monomial_discrete_config, random_discrete_instance
 
 from .conftest import soft_m2n2, two_point_chain
 
@@ -82,6 +82,14 @@ def test_detailed_balance_two_states():
 def test_signed_density_detected():
     tables = two_point_chain(f=(1.0, -0.5), h=(1.0, 1.0))
     with pytest.raises(SignedDensityError):
+        sample(tables, SamplerConfig(steps=100, burn_in=0, seed=1))
+
+
+def test_signed_density_precheck_counts_subsets():
+    # 262 144 labeled states but 21 952 N-subsets: within the precheck's limit
+    tables, _ = random_discrete_instance(0, m=3, N=2, sizes=(8, 8, 8))
+    with pytest.raises(SignedDensityError,
+                       match="^instance has configurations of negative density$"):
         sample(tables, SamplerConfig(steps=100, burn_in=0, seed=1))
 
 
