@@ -12,7 +12,9 @@ the seed-1 configs ``gl_chain`` 0-2, ``discrete_verify`` 0-5 and ``mcmc``
 0-1 of ``perfbench/workloads.py`` (imported by path, read only). Each tree
 then runs the seven commands on every config in one subprocess, with BLAS
 pinned to one thread. Prints every difference in exit code, stdout, stderr
-or CSV.
+or CSV. For each ``check`` row it then prints the largest new/old residual
+ratio over the configs, and lists every row whose status flips or that
+reads exactly 0.0 where REF's does not.
 
 A third subprocess runs the benchmark's own correctness test on the working
 tree: each workload config through that workload's commands, every output
@@ -26,6 +28,7 @@ mismatch.
 from __future__ import annotations
 
 import contextlib
+import csv
 import difflib
 import importlib.util
 import io
@@ -179,6 +182,34 @@ def describe(key: str, field: str, ref, new) -> str:
     return f"{key}: {field} differs\n" + "\n".join(list(diff)[:40])
 
 
+def check_moves(ref_out: dict, new_out: dict) -> list[str]:
+    """Per ``check`` row, the largest new/old residual ratio over the configs;
+    then every row whose status flips or that reads exactly 0.0 where REF's
+    does not."""
+    largest, notes = {}, []
+    for key in ref_out:
+        texts = ref_out[key]["csv"], new_out[key]["csv"]
+        if not key.endswith(" check") or None in texts:
+            continue
+        old_rows, new_rows = ({r["quantity"]: (float(r["residual"]), r["status"])
+                               for r in csv.DictReader(io.StringIO(text))}
+                              for text in texts)
+        for name, (old, old_status) in old_rows.items():
+            if name not in new_rows:
+                continue
+            new, status = new_rows[name]
+            if status != old_status:
+                notes.append(f"{key}: {name} {old_status} -> {status} ({old!r} -> {new!r})")
+            if new == 0.0 and old != 0.0:
+                notes.append(f"{key}: {name} reads 0.0 where REF reads {old!r}")
+            ratio = new / old if old else (1.0 if new == 0.0 else float("inf"))
+            if name not in largest or ratio > largest[name][0]:
+                largest[name] = (ratio, key, old, new)
+    return [f"check row {name}: largest new/old {ratio:.3g} on {key} "
+            f"({old:.3e} -> {new:.3e})"
+            for name, (ratio, key, old, new) in largest.items()] + notes
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] in (["--run"], ["--bench"]):
         run = run_tree if argv[0] == "--run" else bench_checks
@@ -207,7 +238,8 @@ def main(argv: list[str]) -> int:
     differences = [describe(key, field, ref_out[key][field], new_out[key][field])
                    for key in ref_out for field in FIELDS
                    if ref_out[key][field] != new_out[key][field]]
-    for line in differences + bench["failed"] + bench["mismatched"]:
+    for line in differences + check_moves(ref_out, new_out) + bench["failed"] \
+            + bench["mismatched"]:
         print(line)
     print(f"{len(ref_out)} command/config pairs against {ref}, "
           f"{len(differences)} differences")

@@ -50,8 +50,8 @@ from .fredholm import (
     fredholm_det,
     gap_generating_function,
     janossy,
-    resolvent_residual,
     theorem2_residuals_of,
+    transfer_resolvent_residual,
 )
 from .kernels import Dualization, dualize, factorization_residual, kernel_via_inverse
 from .measure import make_discrete_grid, make_gauss_legendre_grid
@@ -374,7 +374,7 @@ def cmd_check(inst: InstanceConfig, plain: Dualization, args):
     res = theorem2_residuals_of(tables, plain, dual)
     for name, value in res.as_dict().items():
         rows.append((f"identity_{name}", value, tol * res.scale))
-    rows.append(("transfer_resolvent", resolvent_residual(dual.g, weights, plain.g),
+    rows.append(("transfer_resolvent", transfer_resolvent_residual(dual.g, weights, plain.g),
                  tol * res.scale))
 
     rows.append(("biorthogonality_plain", plain.bases.biorthogonality_residual, tol))

@@ -14,7 +14,9 @@ equals the checked kernel of the (1 - w)-dualized construction, composed
 with w. ``theorem2_residuals`` measures that identity together with the four
 composition identities it factors through, with 1 - M factored in full as
 the reference; on any consistent discretization every residual is pure
-rounding noise.
+rounding noise. Only that reference costs O((sum n_j)^3): the composition
+products come from the rank-N factors of K and the nonzero lower blocks of
+g, one level-row block at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .kernels import (
     _measure_weights,
     _support_columns,
     build_g,
-    compose_w,
     dualize,
 )
 
@@ -257,39 +258,110 @@ def theorem2_residuals(tables: ChainTables, weights: WeightSet) -> IdentityResid
                                  dualize(tables, weights))
 
 
+def _lower_product(g: BlockKernel, col: np.ndarray, i: int, rows) -> np.ndarray:
+    """Row block i of g o w o X for a strictly block-lower X, on the columns of
+    levels below i - 1: the sum over 1 < j < i of g_ij diag(mu_j w_j) X_j.
+
+    ``rows[j - 1]`` is X_j, the level-j row block of X on the columns of
+    levels below j; its other columns vanish. Only g's nonzero blocks and the
+    nodes of supp(mu w) enter.
+    """
+    o = g.offsets
+    out = np.zeros((o[i] - o[i - 1], o[max(i - 2, 0)]))
+    for j in range(2, i):
+        S = o[j - 1] + np.flatnonzero(col[o[j - 1]:o[j]])
+        out[:, :o[j - 1]] += (g.matrix[o[i - 1]:o[i], S] * col[S]) @ rows[j - 1][S - o[j - 1]]
+    return out
+
+
+def _identity_products(tables: ChainTables, plain: Dualization, dual: Dualization):
+    """The four composition products and the checked product, one level-row
+    block at a time, each beside the form the identity says it equals.
+
+    Yields (name, level, product, form) with the level-i row blocks of both.
+    With K = Psi^T Phi and dual-K = dual-Psi^T dual-Phi, the products come
+    from the rank-N factors: K o_w dual-K = Psi^T ((Phi mu w) dual-Psi^T)
+    dual-Phi, K o_w dual-g = Psi^T ((Phi mu w) dual-g) and g o_w dual-K =
+    (g mu w dual-Psi^T) dual-Phi; g o_w dual-g sums over the nonzero lower
+    blocks only. The endpoint forms walk the N rows of dual-psi on level 1
+    up the plain chain and of phi on level m down the dualized one.
+    """
+    weights = dual.bases.weight_set
+    K, g, Kt, gt = plain.K, plain.g, dual.K, dual.g
+    o = K.offsets
+    col = _measure_weights(K.grids, weights)
+    S = np.flatnonzero(col)
+    psit_S = np.hstack(dual.bases.psi)[:, S].T
+    phit = np.hstack(dual.bases.phi)
+    phi_S = np.hstack(plain.bases.phi)[:, S] * col[S]
+    kk = (phi_S @ psit_S) @ phit
+    kg = phi_S @ gt.matrix[S]
+    # endpoint forms: left^T dual-Phi is dual-K's level-1 rows walked up the
+    # plain chain (masses mu), Psi^T right is K's level-m columns walked down
+    # the dualized chain (masses mu (1 - w))
+    left = np.hstack(walk(tables, dual_masses(tables, plain.bases.weight_set),
+                          dual.bases.psi[0], 1, upward=True))
+    right = np.hstack(walk(tables, dual_masses(tables, weights), plain.bases.phi[-1],
+                           K.m, upward=False))
+    gt_lower = [gt.matrix[o[j - 1]:o[j], :o[j - 1]] for j in range(1, K.m + 1)]
+    for i in range(1, K.m + 1):
+        r = slice(o[i - 1], o[i])
+        psi = plain.bases.psi[i - 1].T
+        KK, KG = psi @ kk, psi @ kg
+        GK = ((g.matrix[r, S] * col[S]) @ psit_S) @ phit
+        GG = np.zeros_like(KK)
+        GG[:, :o[max(i - 2, 0)]] = _lower_product(g, col, i, gt_lower)
+        left_i, right_i = left[:, r].T @ phit, psi @ right
+        yield "kernel_kernel", i, KK, left_i - right_i
+        yield "kernel_transfer", i, KG, K.matrix[r] - right_i
+        yield "transfer_kernel", i, GK, left_i - Kt.matrix[r]
+        del left_i, right_i
+        yield "transfer_transfer", i, GG, g.matrix[r] - gt.matrix[r]
+        yield ("checked_product", i, KK - KG - GK + GG,
+               (Kt.matrix[r] - gt.matrix[r]) - (K.matrix[r] - g.matrix[r]))
+
+
 def theorem2_residuals_of(tables: ChainTables, plain: Dualization,
                           dual: Dualization) -> IdentityResiduals:
     """``theorem2_residuals`` on ready dualizations: ``plain`` at w = 0, ``dual`` at w."""
-    weights = dual.bases.weight_set
-    K, g, Kt, gt = plain.K, plain.g, dual.K, dual.g
     Kc, Ktc = plain.Kc, dual.Kc
     scale = max(1.0, Kc.max_abs(), Ktc.max_abs())
-    r_resolvent = resolvent_residual(Kc, weights, Ktc)
-    r_checked = _max_abs_diff(compose_w(Kc, weights, Ktc).matrix, Ktc.matrix - Kc.matrix)
+    worst = {"resolvent": resolvent_residual(Kc, dual.bases.weight_set, Ktc)}
     # the checked kernels are done; freeing them keeps check's peak memory down
     del Kc, Ktc
+    for name, _, product, form in _identity_products(tables, plain, dual):
+        worst[name] = max(worst.get(name, 0.0), _max_abs_diff(product, form))
+    return IdentityResiduals(scale=scale, **worst)
 
-    r_gg = _max_abs_diff(compose_w(g, weights, gt).matrix, g.matrix - gt.matrix)
-    # endpoint forms: Kt's level-1 rows walked up the plain chain (masses mu),
-    # K's level-m columns walked down the dualized chain (masses mu (1 - w))
-    o = K.offsets
-    left = np.hstack(walk(tables, dual_masses(tables, plain.bases.weight_set),
-                          Kt.matrix[:o[1]].T, 1, upward=True)).T
-    right = np.hstack(walk(tables, dual_masses(tables, weights), K.matrix[:, o[-2]:],
-                           K.m, upward=False))
-    r_kk = _max_abs_diff(compose_w(K, weights, Kt).matrix, left - right)
-    r_gk = _max_abs_diff(compose_w(g, weights, Kt).matrix, left - Kt.matrix)
-    r_kg = _max_abs_diff(compose_w(K, weights, gt).matrix, K.matrix - right)
 
-    return IdentityResiduals(
-        resolvent=r_resolvent,
-        checked_product=r_checked,
-        transfer_transfer=r_gg,
-        kernel_kernel=r_kk,
-        transfer_kernel=r_gk,
-        kernel_transfer=r_kg,
-        scale=scale,
-    )
+def _transfer_resolvent_rows(gt: BlockKernel, weights: WeightSet):
+    """(1 - gt o w)^{-1} (gt o w) by block forward substitution, one level at a time.
+
+    1 - gt o w is unit block-lower, so the solution X has the level-i row
+    block X_i = (gt o w)_i + sum_{1 < j < i} gt_ij diag(mu_j w_j) X_j, which
+    vanishes on the levels >= i. Yields (i, X_i) with X_i on the columns of
+    the levels below i; only gt's nonzero blocks enter.
+    """
+    col = _measure_weights(gt.grids, weights)
+    o = gt.offsets
+    X = []
+    for i in range(1, gt.m + 1):
+        X.append(gt.matrix[o[i - 1]:o[i], :o[i - 1]] * col[:o[i - 1]])
+        X[-1][:, :o[max(i - 2, 0)]] += _lower_product(gt, col, i, X)
+        yield i, X[-1]
+
+
+def transfer_resolvent_residual(gt: BlockKernel, weights: WeightSet,
+                                g: BlockKernel) -> float:
+    """max |(1 - gt o w)^{-1} (gt o w) - g o w|, one level-row block at a time.
+
+    Both sides vanish on the blocks at and above the diagonal, so each row
+    block is compared on the columns of the levels below it.
+    """
+    col = _measure_weights(g.grids, weights)
+    o = g.offsets
+    return max(_max_abs_diff(X, g.matrix[o[i - 1]:o[i], :o[i - 1]] * col[:o[i - 1]])
+               for i, X in _transfer_resolvent_rows(gt, weights))
 
 
 def g_resolvent_residual(tables: ChainTables, weights: WeightSet) -> float:
@@ -298,5 +370,5 @@ def g_resolvent_residual(tables: ChainTables, weights: WeightSet) -> float:
     Measures (1 - dual-g^w)^{-1} dual-g^w - g^w in max norm; both operators
     are strictly lower block triangular, so the inverse always exists.
     """
-    return resolvent_residual(build_g(tables, weights), weights,
-                              build_g(tables, WeightSet.zeros(tables.grids)))
+    return transfer_resolvent_residual(build_g(tables, weights), weights,
+                                       build_g(tables, WeightSet.zeros(tables.grids)))

@@ -33,7 +33,7 @@ from .biortho import (
 )
 from .chain import ChainTables, WeightSet, check_weights
 from .errors import ShapeError, StateError
-from .measure import Grid, frozen_array
+from .measure import Grid
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,8 @@ class BlockKernel:
     ``matrix`` is the read-only (sum n_j) x (sum n_j) array; ``offsets``
     (derived from the grids) delimit the levels. ``checked`` records whether
     the transfer part has been subtracted; ``rank`` carries N for
-    projection-type kernels and is None otherwise.
+    projection-type kernels and is None otherwise. The matrix is frozen in
+    place, not copied: every constructor passes an array it has just built.
     """
 
     matrix: np.ndarray
@@ -57,7 +58,8 @@ class BlockKernel:
         object.__setattr__(self, "grids", grids)
         offsets = tuple(np.cumsum([0] + [g.size for g in grids]).tolist())
         object.__setattr__(self, "offsets", offsets)
-        arr = frozen_array(self.matrix)
+        arr = np.asarray(self.matrix, dtype=float)
+        arr.setflags(write=False)
         if arr.shape != (offsets[-1], offsets[-1]):
             raise ShapeError(f"kernel matrix has shape {arr.shape}, expected "
                              f"{(offsets[-1], offsets[-1])} for the level grids")
@@ -165,6 +167,7 @@ def compose_w(A: BlockKernel, weights: WeightSet, B: BlockKernel) -> BlockKernel
     """Weighted composition A diag(mu w) B: block (i, k) = sum_j A_ij diag(mu_j w_j) B_jk.
 
     The sum runs over S = supp(mu w) only; the other inner terms are exact zeros.
+    This dense form is the reference for the structured products of ``check``.
     """
     if not _same_grids(A, B):
         raise ShapeError("composition requires kernels on the same grids")
@@ -198,7 +201,10 @@ def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,
     j != m, and the adjacent-level relations in both directions. Supply a
     plain kernel with zero weights or a weighted kernel with its weights;
     the identities are exact either way, so the return value is pure
-    floating-point noise on a consistent instance.
+    floating-point noise on a consistent instance. The relations are read
+    off the stored matrix K, not its factors: psi^(j+1) is defined as the
+    walk of psi^(j), so on psi^T phi the adjacent relations would hold to
+    the last bit and judge nothing.
     """
     e = dual_masses(tables, weights)
     o = K.offsets
@@ -207,10 +213,13 @@ def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,
         return 0.0
     M = K.matrix
     # block (1, m) carried to every level through g's composite blocks: down
-    # its rows by g_i1 diag(e_1), then across its columns by diag(e_m) g_mj
-    cols = g.matrix[:, :o[1]] @ (e[0][:, None] * K.block(1, m))
+    # its rows by g_i1 diag(e_1), then across its columns by diag(e_m) g_mj;
+    # g's zero blocks (1, 1) and (m, m) are skipped
+    cols = np.empty((o[-1], o[-1] - o[-2]))
     cols[:o[1]] = K.block(1, m)
-    corner = (cols * e[-1][None, :]) @ g.matrix[o[-2]:, :]
+    cols[o[1]:] = g.matrix[o[1]:, :o[1]] @ (e[0][:, None] * K.block(1, m))
+    corner = np.empty_like(M)
+    corner[:, :o[-2]] = (cols * e[-1][None, :]) @ g.matrix[o[-2]:, :o[-2]]
     corner[:, o[-2]:] = cols
     # freed before the products below: alive, it slows their allocations by
     # about a tenth of this function's time at n = 256, m = 3

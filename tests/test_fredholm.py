@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from detchain import (
     compose_w,
     correlation,
     dual_bases,
+    dualize,
+    factorization_residual,
     fredholm_det,
     g_resolvent_residual,
     gap_generating_function,
@@ -21,6 +25,12 @@ from detchain import (
     make_discrete_grid,
     resolvent,
     theorem2_residuals,
+)
+from detchain.fredholm import (
+    _identity_products,
+    _transfer_resolvent_rows,
+    theorem2_residuals_of,
+    transfer_resolvent_residual,
 )
 from detchain.instances import monomial_discrete_config, random_discrete_instance
 from detchain.cli import parse_instance
@@ -319,3 +329,105 @@ def test_support_restriction_matches_dense_formulas():
             assert abs(got - ref) <= 1e-13 * scale * max(1.0, abs(ref))
             count += 1
     assert count == 12  # six indicator sets and six w = 0
+
+
+def structured_cases():
+    """Seeded m = 1..4 instances with soft weights, indicator weights (two
+    nodes per level outside the set, so A^w can have rank N) and an empty
+    support (w = 0)."""
+    rng = np.random.default_rng(6)
+    for m in range(1, 5):
+        for seed in range(3):
+            tables, soft = random_discrete_instance(600 + 10 * m + seed, m=m, N=2)
+            indicator = WeightSet(tuple(np.r_[rng.random(w.size - 2) < 0.5, 0, 0]
+                                        .astype(float) for w in soft.w))
+            for ws in (soft, indicator, WeightSet.zeros(tables.grids)):
+                yield tables, ws
+
+
+def test_structured_products_match_compose_w():
+    """Every product of the identity suite, formed from the rank-N factors and
+    g's lower blocks, equals the dense compose_w product row block by row block."""
+    for tables, ws in structured_cases():
+        plain, dual = dualize(tables, WeightSet.zeros(tables.grids)), dualize(tables, ws)
+        scale = theorem2_residuals_of(tables, plain, dual).scale
+        dense = {
+            "kernel_kernel": compose_w(plain.K, ws, dual.K),
+            "kernel_transfer": compose_w(plain.K, ws, dual.g),
+            "transfer_kernel": compose_w(plain.g, ws, dual.K),
+            "transfer_transfer": compose_w(plain.g, ws, dual.g),
+            "checked_product": compose_w(plain.Kc, ws, dual.Kc),
+        }
+        seen = set()
+        for name, i, product, _ in _identity_products(tables, plain, dual):
+            o = plain.K.offsets
+            ref = dense[name].matrix[o[i - 1]:o[i]]
+            assert np.max(np.abs(product - ref)) <= 1e-13 * scale, (name, i)
+            seen.add((name, i))
+        assert len(seen) == 5 * tables.m
+
+
+def test_forward_substitution_matches_dense_transfer_resolvent():
+    for tables, ws in structured_cases():
+        gt, g = build_g(tables, ws), build_g(tables, WeightSet.zeros(tables.grids))
+        col = np.concatenate([grid.weights * w for grid, w in zip(tables.grids, ws.w)])
+        B = gt.matrix * col
+        dense = np.linalg.solve(np.eye(col.size) - B, B)
+        scale = max(1.0, g.max_abs(), gt.max_abs())
+        o = gt.offsets
+        for i, X in _transfer_resolvent_rows(gt, ws):
+            rows = dense[o[i - 1]:o[i]]
+            assert np.max(np.abs(X - rows[:, :o[i - 1]]), initial=0.0) <= 1e-13 * scale
+            assert np.max(np.abs(rows[:, o[i - 1]:]), initial=0.0) <= 1e-13 * scale
+        assert transfer_resolvent_residual(gt, ws, g) <= 1e-13 * scale
+
+
+def check_rows(tables, plain, dual):
+    """check's identity, transfer_resolvent and factorization rows, each as
+    (residual, bound), on the given records."""
+    ws, zeros = dual.bases.weight_set, plain.bases.weight_set
+    res = theorem2_residuals_of(tables, plain, dual)
+    rows = {f"identity_{k}": (v, 1e-10 * res.scale) for k, v in res.as_dict().items()}
+    rows["transfer_resolvent"] = (transfer_resolvent_residual(dual.g, ws, plain.g),
+                                  1e-10 * res.scale)
+    for label, d, w in (("plain", plain, zeros), ("dual", dual, ws)):
+        rows[f"factorization_{label}"] = (factorization_residual(d.K, d.g, tables, w),
+                                          1e-11 * max(1.0, d.K.max_abs()))
+    return rows
+
+
+def perturbed(kernel, i, j):
+    """The kernel with the largest entry of block (i, j) raised by 1e-7 relative."""
+    o = kernel.offsets
+    matrix = kernel.matrix.copy()
+    block = matrix[o[i - 1]:o[i], o[j - 1]:o[j]]
+    r, c = np.unravel_index(np.argmax(np.abs(block)), block.shape)
+    block[r, c] *= 1.0 + 1e-7
+    return BlockKernel(matrix=matrix, grids=kernel.grids, checked=kernel.checked,
+                       rank=kernel.rank)
+
+
+@pytest.mark.parametrize("target, judged", [
+    ("dual g", {"identity_resolvent", "identity_checked_product",
+                "identity_transfer_transfer", "identity_kernel_transfer",
+                "transfer_resolvent", "factorization_dual"}),
+    ("dual K", {"identity_resolvent", "identity_checked_product",
+                "identity_transfer_kernel", "factorization_dual"}),
+    ("plain K", {"identity_resolvent", "identity_checked_product",
+                 "identity_kernel_transfer", "factorization_plain"}),
+])
+def test_no_row_is_tautological(target, judged):
+    """A 1e-7 relative change of one stored entry puts every row that reads
+    that input over its bound, and leaves the others within theirs."""
+    tables, ws = random_discrete_instance(47, m=3, N=2)
+    plain, dual = dualize(tables, WeightSet.zeros(tables.grids)), dualize(tables, ws)
+    assert all(v <= b for v, b in check_rows(tables, plain, dual).values())
+    if target == "dual g":
+        dual = replace(dual, g=perturbed(dual.g, 3, 1))
+    elif target == "dual K":
+        dual = replace(dual, K=perturbed(dual.K, 2, 2))
+    else:
+        plain = replace(plain, K=perturbed(plain.K, 2, 2))
+    rows = check_rows(tables, plain, dual)
+    over = {name for name, (v, b) in rows.items() if v > b}
+    assert over == judged, rows

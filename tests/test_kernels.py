@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from detchain import (
+    BlockKernel,
     ShapeError,
     StateError,
     WeightSet,
@@ -119,6 +120,21 @@ def test_check_kernel_rejects_checked_input():
     Kc = check_kernel(K, g)
     with pytest.raises(StateError):
         check_kernel(Kc, g)
+
+
+def test_kernel_matrix_is_frozen_in_place():
+    """BlockKernel keeps the array it is given, made read-only, not a copy."""
+    tables = seeded_chain(11, m=2, n=2, sizes=(4, 4))
+    _, _, K, g = plain_parts(tables)
+    matrix = K.matrix - g.matrix
+    Kc = BlockKernel(matrix=matrix, grids=K.grids, checked=True, rank=K.rank)
+    assert Kc.matrix is matrix
+    for kernel in (K, g, Kc, check_kernel(K, g)):
+        assert not kernel.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            kernel.matrix[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            kernel.block(1, 1)[0, 0] = 1.0
 
 
 def test_compose_with_zero_weights_vanishes():
