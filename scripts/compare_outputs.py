@@ -14,7 +14,11 @@ then runs the seven commands on every config in one subprocess, with BLAS
 pinned to one thread. Prints every difference in exit code, stdout, stderr
 or CSV. For each ``check`` row it then prints the largest new/old residual
 ratio over the configs, and lists every row whose status flips or that
-reads exactly 0.0 where REF's does not.
+reads exactly 0.0 where REF's does not. For every other command it prints
+the largest absolute and the largest relative move of each numeric output
+(the values, the count probabilities, ``oracle``'s library column and
+``sample``'s reference and z-score), and lists every ``oracle`` row whose
+status flips.
 
 A third subprocess runs the benchmark's own correctness test on the working
 tree: each workload config through that workload's commands, every output
@@ -210,6 +214,51 @@ def check_moves(ref_out: dict, new_out: dict) -> list[str]:
             for name, (ratio, key, old, new) in largest.items()] + notes
 
 
+# per command, the CSV columns holding its numeric outputs
+NUMERIC = {"gap": ("value",), "janossy": ("value",), "correlate": ("value",),
+           "counts": ("probability",), "oracle": ("library",),
+           "sample": ("reference", "zscore")}
+
+
+def csv_rows(text: str) -> dict:
+    """A command's CSV rows keyed by their count columns, quantity and points."""
+    return {tuple(v for c, v in row.items() if c.startswith("count_")
+                  or c in ("quantity", "points")): row
+            for row in csv.DictReader(io.StringIO(text))}
+
+
+def numeric_moves(ref_out: dict, new_out: dict) -> list[str]:
+    """Per command and numeric column, the largest absolute and the largest
+    relative move over the configs; then every ``oracle`` row whose status
+    flips."""
+    largest, flips = {}, []
+    for key in ref_out:
+        config, command = key.rsplit(" ", 1)
+        texts = ref_out[key]["csv"], new_out[key]["csv"]
+        if command not in NUMERIC or None in texts:
+            continue
+        old_rows, new_rows = map(csv_rows, texts)
+        for row_key, old in old_rows.items():
+            new = new_rows.get(row_key)
+            if new is None:
+                continue
+            if command == "oracle" and old["status"] != new["status"]:
+                flips.append(f"{key}: {row_key[0]} {old['status']} -> {new['status']} "
+                             f"({old['library']} -> {new['library']})")
+            for column in NUMERIC[command]:
+                a, b = float(old[column]), float(new[column])
+                moves = {"abs": abs(b - a)}
+                moves["rel"] = (moves["abs"] / abs(a) if a
+                                else 0.0 if b == 0 else float("inf"))
+                for kind, move in moves.items():
+                    slot = (command, column, kind)
+                    if slot not in largest or move > largest[slot][0]:
+                        largest[slot] = (move, f"{config} {'/'.join(row_key)}", a, b)
+    return [f"{command} {column}: largest {kind} move {move:.3g} on {where} "
+            f"({a!r} -> {b!r})"
+            for (command, column, kind), (move, where, a, b) in largest.items()] + flips
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] in (["--run"], ["--bench"]):
         run = run_tree if argv[0] == "--run" else bench_checks
@@ -238,8 +287,8 @@ def main(argv: list[str]) -> int:
     differences = [describe(key, field, ref_out[key][field], new_out[key][field])
                    for key in ref_out for field in FIELDS
                    if ref_out[key][field] != new_out[key][field]]
-    for line in differences + check_moves(ref_out, new_out) + bench["failed"] \
-            + bench["mismatched"]:
+    for line in differences + check_moves(ref_out, new_out) \
+            + numeric_moves(ref_out, new_out) + bench["failed"] + bench["mismatched"]:
         print(line)
     print(f"{len(ref_out)} command/config pairs against {ref}, "
           f"{len(differences)} differences")

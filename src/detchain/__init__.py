@@ -66,12 +66,10 @@ from .measure import Grid, integrate, make_discrete_grid, make_gauss_legendre_gr
 from .oracle import (
     Enumeration,
     enumerate_configurations,
-    joint_density,
     oracle_correlation,
     oracle_counts,
     oracle_gap,
     oracle_janossy,
-    probnm_total_mass,
 )
 from .sampler import Configuration, SamplerConfig, configuration_weight, empirical_gap, sample
 
@@ -123,7 +121,6 @@ __all__ = [
     "indicator_vector",
     "integrate",
     "janossy",
-    "joint_density",
     "kernel_via_inverse",
     "make_discrete_grid",
     "make_gauss_legendre_grid",
@@ -134,7 +131,6 @@ __all__ = [
     "pairing_expressions",
     "pairing_matrix",
     "plu_decompose",
-    "probnm_total_mass",
     "resolvent",
     "sample",
     "tabulate",

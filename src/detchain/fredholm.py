@@ -7,9 +7,24 @@ vanishes, so with M_SS its S x S block the gap probability (for indicator
 w) and the Fredholm resolvent kernel are
 
     det(1 - Kc o w) = det(1 - M_SS),
-    (1 - M)^{-1} Kc = Kc + M[:, S] (1 - M_SS)^{-1} Kc[S, :],
+    (1 - M)^{-1} Kc = Kc + M[:, S] (1 - M_SS)^{-1} Kc[S, :].
 
-and the central identity states that the resolvent of the checked kernel
+A checked kernel carries its structure Kc = Psi^T Phi - g, with rank-N
+factors and g strictly block-lower, so with D = diag(mu w)_S the matrix
+1 - M_SS is (1 + g_SS D) - Psi_S^T Phi_S D, and det(1 + g_SS D) = 1. With
+X = (1 + g_SS D)^{-1} Psi_S^T, found by block forward substitution on the
+levels of S,
+
+    det(1 - Kc o w) = det(I_N - Phi_S D X),
+
+the N x N determinant the paper's theorem gives as det A^w / det A^0. From
+the same X come the resolvent, by Woodbury, the Janossy density at k
+points, as one (N + k)-square determinant, and the count distribution, by
+expanding that N x N matrix in per-level factors. A kernel without
+factors takes the same route with Psi_S = I, Phi_S = Kc_SS and g = 0,
+which is the dense formula on S.
+
+The central identity states that the resolvent of the checked kernel
 equals the checked kernel of the (1 - w)-dualized construction, composed
 with w. ``theorem2_residuals`` measures that identity together with the four
 composition identities it factors through, with 1 - M factored in full as
@@ -22,6 +37,7 @@ g, one level-row block at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,51 +69,123 @@ def _require_checked(kernel: BlockKernel) -> None:
         raise StateError("operation requires a checked kernel (transfer part subtracted)")
 
 
-def _on_support(Kc: BlockKernel, weights: WeightSet):
-    """S = supp(mu w), M[:, S] and 1 - M[S, S] for M the matrix of Kc o w."""
+class _OnSupport(NamedTuple):
+    """A checked kernel Kc = Psi^T Phi - g on S = supp(mu w), D = diag(mu w)_S.
+
+    The nodes of level j in S are S[bounds[j - 1]:bounds[j]]. ``lower`` holds
+    (lo, hi, g[S_j, S_<j]) for each level j whose rows S[lo:hi] have nodes of
+    S below them; g is strictly block-lower, so no other block of g_SS is
+    nonzero.
+    """
+
+    S: np.ndarray
+    d: np.ndarray
+    bounds: list[int]
+    psi_t: np.ndarray   # Psi_S^T, |S| x N
+    phi: np.ndarray     # Phi_S, N x |S|
+    lower: list
+
+    def forward(self, Y: np.ndarray) -> np.ndarray:
+        """(1 + g_SS D)^{-1} Y in place, by block forward substitution: the
+        solution's row block j is Y_j - g[S_j, S_<j] D_<j X_<j."""
+        for lo, hi, g in self.lower:
+            Y[lo:hi] -= g @ (self.d[:lo, None] * Y[:lo])
+        return Y
+
+
+def _support(Kc: BlockKernel, weights: WeightSet) -> _OnSupport:
+    """Kc on S = supp(mu w). A kernel without factors enters as Psi_S = I,
+    Phi_S = Kc_SS and g = 0, and one without a transfer part with g = 0."""
     _require_checked(Kc)
-    S, MS = _support_columns(Kc, weights)
-    return S, MS, _one_minus(MS[S])
+    col = _measure_weights(Kc.grids, weights)
+    S = np.flatnonzero(col)
+    bounds = np.searchsorted(S, Kc.offsets).tolist()
+    if Kc.factors is None:
+        return _OnSupport(S, col[S], bounds, np.eye(S.size), Kc.matrix[np.ix_(S, S)], [])
+    g = Kc.transfer
+    lower = [(lo, hi, g[S[lo:hi, None], S[:lo]])
+             for lo, hi in zip(bounds[1:-1], bounds[2:]) if g is not None and 0 < lo < hi]
+    psi, phi = Kc.factors
+    return _OnSupport(S, col[S], bounds, psi[:, S].T, phi[:, S], lower)
+
+
+def _w_pairing(on: _OnSupport, X: np.ndarray) -> np.ndarray:
+    """I - Phi_S D X for X = (1 + g_SS D)^{-1} Psi_S^T: the N x N matrix whose
+    determinant is det(1 - Kc o w).
+
+    For the plain dualization it is the w-pairing of the plain dual bases
+    against mu (1 - w), transposed: ((P L)^{-1} A^w U^{-1})^T from the PLU
+    of A^0, so its determinant is det A^w / det A^0.
+    """
+    return _one_minus(on.phi @ (on.d[:, None] * X))
 
 
 def fredholm_det(Kc: BlockKernel, weights: WeightSet) -> float:
-    """det(1 - Kc o w) = det(1 - M_SS) via LU with partial pivoting.
+    """det(1 - Kc o w), the determinant of the N x N ``_w_pairing``.
 
     For indicator weights this is the probability of finding no points in the
     chosen subsets; it may legitimately be <= 0 for weights outside [0, 1]
     and is returned as computed.
     """
-    return float(np.linalg.det(_on_support(Kc, weights)[2]))
+    on = _support(Kc, weights)
+    return float(np.linalg.det(_w_pairing(on, on.forward(on.psi_t))))
 
 
-def _sampled_resolvent(Kc: BlockKernel, weights: WeightSet,
-                       idx: np.ndarray) -> tuple[float, np.ndarray]:
-    """det(1 - Kc o w) and the resolvent kernel on the matrix indices ``idx``.
+def _max_abs_columns(matrix: np.ndarray, S: np.ndarray, d: np.ndarray) -> float:
+    """max |matrix[:, S] diag(d)|, from each column's largest and smallest entry
+    and without forming the (sum n_j) x |S| product; 0 when S is empty."""
+    if not S.size:
+        return 0.0
+    span = matrix[:, S[0]:S[-1] + 1]
+    largest = np.maximum(span.max(axis=0), -span.min(axis=0))[S - S[0]]
+    return float(np.max(largest * np.abs(d)))
 
-    Refuses a determinant below 1e-12 max(1, max|M|) as vanishing.
+
+def _solve_on(Kc: BlockKernel, on: _OnSupport, B: np.ndarray):
+    """X = (1 + g_SS D)^{-1} Psi_S^T, Z = (1 + g_SS D)^{-1} B and C = I - Phi_S D X
+    for B = Kc[S, idx].
+
+    det(1 - M_SS) = det C; a determinant below 1e-12 max(1, max|M|) is
+    refused as vanishing.
     """
-    S, MS, one_minus = _on_support(Kc, weights)
-    scale = max(1.0, float(np.max(np.abs(MS), initial=0.0)))
-    det = float(np.linalg.det(one_minus))
-    floor = _RESOLVENT_DET_FLOOR * scale
+    N = on.psi_t.shape[1]
+    Y = on.forward(np.hstack([on.psi_t, B]))
+    X, Z = Y[:, :N], Y[:, N:]
+    pairing = _w_pairing(on, X)
+    det = float(np.linalg.det(pairing))
+    floor = _RESOLVENT_DET_FLOOR * max(1.0, _max_abs_columns(Kc.matrix, on.S, on.d))
     if abs(det) <= floor:
         raise ResolventSingular(
             f"Fredholm determinant {det:.3e} vanishes: |det| <= {floor:.3e}, the floor "
             "1e-12 max(1, max|M|); no resolvent"
         )
-    solved = np.linalg.solve(one_minus, Kc.matrix[np.ix_(S, idx)])
-    return det, Kc.matrix[np.ix_(idx, idx)] + MS[idx] @ solved
+    return X, Z, pairing
 
 
 def resolvent(Kc: BlockKernel, weights: WeightSet) -> BlockKernel:
     """Kernel-valued Fredholm resolvent blocks of Kc o w.
 
-    Returns X = (1 - M)^{-1} Kc with M the weighted kernel matrix, which is
+    Returns (1 - M)^{-1} Kc with M the weighted kernel matrix, which is
     (1 - M)^{-1} M with the right diag(mu w) factor stripped; right-composing
-    the result with w reproduces the resolvent operator exactly. X is formed
-    on the support S of mu w as Kc + M[:, S] (1 - M_SS)^{-1} Kc[S, :].
+    the result with w reproduces the resolvent operator exactly. It is formed
+    on the support S of mu w as Kc + M[:, S] Y with (1 - M_SS) Y = Kc[S, :],
+    solved by Woodbury as Y = Z + X C^{-1} Phi_S D Z (see ``_solve_on``).
+    That formula is not backward stable when C is ill-conditioned, so one
+    step of iterative refinement follows, its residual B - (1 - M_SS) Y
+    taken against the kernel's own matrix and summed in extended precision.
     """
-    matrix = _sampled_resolvent(Kc, weights, np.arange(Kc.offsets[-1]))[1]
+    on = _support(Kc, weights)
+    B = Kc.matrix[on.S]
+    X, Z, pairing = _solve_on(Kc, on, B)
+
+    def woodbury(Z):
+        return Z + X @ np.linalg.solve(pairing, on.phi @ (on.d[:, None] * Z))
+
+    solved = woodbury(Z)
+    residual = (B - solved) + Kc.matrix[np.ix_(on.S, on.S)] @ (
+        on.d[:, None].astype(np.longdouble) * solved)
+    solved += woodbury(on.forward(residual.astype(float)))
+    matrix = Kc.matrix + (Kc.matrix[:, on.S] * on.d) @ solved
     return BlockKernel(matrix=matrix, grids=Kc.grids, checked=True, rank=Kc.rank)
 
 
@@ -114,12 +202,25 @@ def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
     other points y of X] / mu(x), for arbitrary real w and points anywhere;
     for indicator w and points inside the sets it is the density of finding
     exactly those points there. The value is the Fredholm determinant times
-    the determinant of the sampled resolvent; with no points it reduces to
-    det(1 - Kc o w) itself.
+    the determinant of the resolvent sampled at x, R = Kc_xx + M_xS (1 -
+    M_SS)^{-1} Kc_Sx, taken as one (N + k) x (N + k) determinant: with the
+    Woodbury form of the solve (see ``resolvent``) and C = I - Phi_S D X,
+    det C det R = det [[C, Phi_S D Z], [-M_xS X, Kc_xx + M_xS Z]] by the
+    Schur complement of C. With no points it reduces to det(1 - Kc o w).
     """
     idx = _node_index(Kc, point_lists(Kc.grids, points))
-    const, R = _sampled_resolvent(Kc, weights, idx)
-    return const * float(np.linalg.det(R))
+    on = _support(Kc, weights)
+    if not on.S.size:  # det(1 - Kc o w) = 1 and R = Kc_xx
+        return float(np.linalg.det(Kc.matrix[np.ix_(idx, idx)]))
+    rows, cols = Kc.matrix[idx], Kc.matrix[:, idx]
+    X, Z, pairing = _solve_on(Kc, on, cols[on.S])
+    N, M_xS = len(pairing), rows[:, on.S] * on.d
+    bordered = np.empty((N + idx.size,) * 2)
+    bordered[:N, :N] = pairing
+    bordered[:N, N:] = on.phi @ (on.d[:, None] * Z)
+    bordered[N:, :N] = -(M_xS @ X)
+    bordered[N:, N:] = rows[:, idx] + M_xS @ Z
+    return float(np.linalg.det(bordered))
 
 
 def correlation(Kc: BlockKernel, points) -> float:
@@ -157,39 +258,76 @@ def count_degrees(rank: int | None, sizes, max_count: int | None = None) -> list
     return degrees if max_count is None else [min(int(max_count), s) for s in sizes]
 
 
+def _multilinear_coefficients(on: _OnSupport, m: int) -> np.ndarray:
+    """The coefficients H_U of Phi_S D_kappa (1 + g_SS D_kappa)^{-1} Psi_S^T =
+    sum over nonempty level sets U of prod_{j in U} kappa_j H_U, with
+    D_kappa = D diag(kappa_j on the level-j nodes of S).
+
+    Expanding the inverse along g's strictly lower blocks, each term runs
+    down a chain of levels u_1 > u_2 > ... > u_k, and the chain is its set U:
+    H_U = Phi_{u_1} D_{u_1} (-g_{u_1 u_2}) D_{u_2} ... (-g_{u_{k-1} u_k})
+    D_{u_k} Psi_{u_k}^T. Returned as a (2,) * m + (N, N) array whose index j
+    is 1 where level j is in U; levels without nodes in S add nothing.
+    """
+    b = on.bounds
+    H = np.zeros((2,) * m + (on.psi_t.shape[1],) * 2)
+    lower = {lo: g for lo, _, g in on.lower}
+    # chains[j]: (U, D_{u_1} (-g_{u_1 u_2}) ... Psi_{u_k}^T) for each chain
+    # from u_1 = j, on the level-j rows of S
+    chains: dict[int, list] = {}
+    for j in range(m):
+        rows = slice(b[j], b[j + 1])
+        if rows.start == rows.stop:
+            continue
+        # a chain from j is j alone, or j followed by a chain from a level i < j
+        terms = [((j,), on.psi_t[rows])]
+        g = lower.get(rows.start)
+        for i, from_i in chains.items() if g is not None else ():
+            terms += [((j,) + U, -(g[:, b[i]:b[i + 1]] @ W)) for U, W in from_i]
+        chains[j] = [(U, on.d[rows, None] * W) for U, W in terms]
+        for U, W in chains[j]:
+            H[tuple(int(k in U) for k in range(m))] = on.phi[:, rows] @ W
+    return H
+
+
+def _along(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
+    """``matrix`` applied along one axis of ``values``, which keeps its place."""
+    labels = list(range(values.ndim))
+    return np.einsum(matrix, [values.ndim, axis], values, labels,
+                     labels[:axis] + [values.ndim] + labels[axis + 1:])
+
+
 def gap_generating_function(Kc: BlockKernel, intervals, max_count: int | None = None) -> CountDistribution:
     """Count distribution by a discrete Fourier transform of its generating function.
 
     With per-level indicators chi_j, det(1 - Kc o ((1 - xi_j) chi_j)) is the
     generating polynomial sum_k P(counts = k) prod_j xi_j^{k_j}. Its degree
     in xi_j is at most d_j = min(N, |S_j|), with S_j the level-j nodes inside
-    the intervals (|S_j| alone when the rank N is unknown). Evaluating
-    det(1 - M_SS diag(1 - xi)) with each xi_j at the (d_j + 1)-th roots of
-    unity and applying the inverse DFT recovers the probabilities; of each
-    conjugate pair of root tuples only one needs a determinant.
-    ``max_count`` raises d_j up to |S_j| (see ``count_degrees``).
+    the intervals (|S_j| alone when the rank N is unknown). With kappa_j =
+    1 - xi_j the polynomial is det(I - sum_U prod_{j in U} kappa_j H_U), the
+    N x N coefficients of ``_multilinear_coefficients``; it is evaluated
+    with each xi_j at the (d_j + 1)-th roots of unity, one batched N x N
+    determinant over all root tuples, and the inverse DFT recovers the
+    probabilities. ``max_count`` raises d_j up to |S_j| (see ``count_degrees``).
     """
     chi = indicators(Kc.grids, intervals)
-    S, MS, _ = _on_support(Kc, WeightSet(tuple(chi)))
+    on = _support(Kc, WeightSet(tuple(chi)))
     sizes = [int(c.sum()) for c in chi]
-    shape = tuple(d + 1 for d in count_degrees(Kc.rank, sizes, max_count))
-    MSS = MS[S]
-    coeffs = np.empty(shape, dtype=complex)
-    for idx in np.ndindex(shape):
-        # the polynomial has real coefficients: its value at the conjugate
-        # tuple -k, met earlier in this order, is the conjugate
-        mirror = tuple(-k % n for k, n in zip(idx, shape))
-        if mirror < idx:
-            coeffs[idx] = np.conj(coeffs[mirror])
-            continue
-        kappa = [1.0 - np.exp(2j * np.pi * k / n) for k, n in zip(idx, shape)]
-        coeffs[idx] = np.linalg.det(_one_minus(MSS * np.repeat(kappa, sizes)))
-    # inverse DFT axis by axis, as a product with the (d_j + 1)-square DFT
-    # matrix: the lengths are small, and loading numpy.fft for them would
-    # add about half a megabyte of resident memory to every process
+    shape = tuple(k + 1 for k in count_degrees(Kc.rank, sizes, max_count))
+    values = _multilinear_coefficients(on, Kc.m)
+    # axis j of the coefficients is (1, kappa_j) in the level-j factor; the
+    # same contraction along every axis turns it into the values at all root
+    # tuples, and then the inverse DFT, a product with the (d_j + 1)-square
+    # DFT matrix, turns those into the probabilities: the lengths are small,
+    # and loading numpy.fft for them would add about half a megabyte of
+    # resident memory to every process
+    for axis, n in enumerate(shape):
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        values = _along(np.stack([np.ones(n), 1.0 - roots], axis=1), values, axis)
+    coeffs = np.linalg.det(np.eye(values.shape[-1]) - values)
     for axis, n in enumerate(shape):
         inverse = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / n
-        coeffs = np.moveaxis(np.tensordot(inverse, coeffs, axes=(1, axis)), 0, axis)
+        coeffs = _along(inverse, coeffs, axis)
     coeffs = coeffs.real
     probabilities = {
         tuple(int(k) for k in idx): float(coeffs[idx]) for idx in np.ndindex(shape)

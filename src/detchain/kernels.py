@@ -43,14 +43,20 @@ class BlockKernel:
     ``matrix`` is the read-only (sum n_j) x (sum n_j) array; ``offsets``
     (derived from the grids) delimit the levels. ``checked`` records whether
     the transfer part has been subtracted; ``rank`` carries N for
-    projection-type kernels and is None otherwise. The matrix is frozen in
-    place, not copied: every constructor passes an array it has just built.
+    projection-type kernels and is None otherwise. ``factors`` holds the
+    N x (sum n_j) rows (Psi, Phi) with K = Psi^T Phi, and ``transfer`` the
+    matrix of the strictly block-lower g a checked kernel Psi^T Phi - g
+    subtracted; both are None for a kernel of unknown structure. The arrays
+    are frozen in place, not copied: every constructor passes arrays it has
+    just built or that another kernel holds.
     """
 
     matrix: np.ndarray
     grids: tuple[Grid, ...]
     checked: bool
     rank: int | None = None
+    factors: tuple[np.ndarray, np.ndarray] | None = None
+    transfer: np.ndarray | None = None
     offsets: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
@@ -64,6 +70,9 @@ class BlockKernel:
             raise ShapeError(f"kernel matrix has shape {arr.shape}, expected "
                              f"{(offsets[-1], offsets[-1])} for the level grids")
         object.__setattr__(self, "matrix", arr)
+        for part in (*(self.factors or ()), self.transfer):
+            if part is not None:
+                part.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -79,9 +88,13 @@ class BlockKernel:
 
 
 def build_K(bases: DualBases) -> BlockKernel:
-    """Projection-type kernel from dual bases: block (i, j) = psi_i^T phi_j."""
-    matrix = np.hstack(bases.psi).T @ np.hstack(bases.phi)
-    return BlockKernel(matrix=matrix, grids=bases.grids, checked=False, rank=bases.N)
+    """Projection-type kernel from dual bases: block (i, j) = psi_i^T phi_j.
+
+    The stacked rows (Psi, Phi) ride along as the kernel's ``factors``.
+    """
+    psi, phi = np.hstack(bases.psi), np.hstack(bases.phi)
+    return BlockKernel(matrix=psi.T @ phi, grids=bases.grids, checked=False, rank=bases.N,
+                       factors=(psi, phi))
 
 
 def build_g(tables: ChainTables, weights: WeightSet) -> BlockKernel:
@@ -103,13 +116,22 @@ def build_g(tables: ChainTables, weights: WeightSet) -> BlockKernel:
 
 
 def check_kernel(K: BlockKernel, g: BlockKernel) -> BlockKernel:
-    """Subtract the transfer part, K - g, marking the result checked."""
+    """Subtract the transfer part, K - g, marking the result checked.
+
+    The result keeps K's factors and refers to g's matrix as its
+    ``transfer`` when g is strictly block-lower, as ``build_g``'s is; with
+    any other g it carries no structure.
+    """
     if K.checked:
         raise StateError("transfer part already subtracted from this kernel")
     if K.m != g.m:
         raise ShapeError("kernel and transfer block counts differ")
+    o = g.offsets
+    lower = K.factors is not None and not any(
+        g.matrix[o[i]:o[i + 1], o[i]:].any() for i in range(g.m))
     return BlockKernel(matrix=K.matrix - g.matrix, grids=K.grids, checked=True,
-                       rank=K.rank)
+                       rank=K.rank, factors=K.factors if lower else None,
+                       transfer=g.matrix if lower else None)
 
 
 @dataclass(frozen=True)

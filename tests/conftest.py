@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -63,3 +66,21 @@ def seeded_chain(seed, m, n, sizes):
 def uniform_weights(tables, seed, low=0.0, high=0.9):
     rng = np.random.default_rng(seed)
     return WeightSet(tuple(rng.uniform(low, high, g.size) for g in tables.grids))
+
+
+@cache
+def perfbench_module(name):
+    """The benchmark module ``perfbench/<name>.py``, imported by path once."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  REPO_ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_instances(name, seed, cycles, directory):
+    """The parsed configs of a benchmark workload's cycles."""
+    workload = perfbench_module("workloads").WORKLOADS[name](seed, directory)
+    return [parse_instance(json.loads(Path(workload.config_for(c)).read_text()))
+            for c in cycles]

@@ -24,7 +24,6 @@ from detchain import (
     gap_generating_function,
     integrate,
     janossy,
-    joint_density,
     make_gauss_legendre_grid,
     oracle_correlation,
     oracle_counts,
@@ -38,6 +37,7 @@ from detchain.instances import gauss_chain_config, random_discrete_instance
 from detchain.sampler import empirical_gap, sample
 
 from .conftest import BUNDLED_DISCRETE, load_bundled
+from .density_forms import joint_density
 
 RANDOM_INSTANCES = 50
 

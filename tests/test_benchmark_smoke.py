@@ -6,29 +6,17 @@ stdout, CSV and exit code exactly. The benchmark's modules are only imported.
 """
 
 import contextlib
-import importlib.util
 import io
-import sys
 
 import pytest
 
 from detchain import cli
 
-from .conftest import REPO_ROOT
+from .conftest import perfbench_module
 
 SEED = 1
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  REPO_ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads, checks, replay = (_load(name) for name in ("workloads", "checks", "replay"))
+workloads, checks, replay = map(perfbench_module, ("workloads", "checks", "replay"))
 
 
 @pytest.mark.parametrize("workload, cycle", [

@@ -21,21 +21,25 @@ from detchain import (
     g_resolvent_residual,
     gap_generating_function,
     janossy,
-    joint_density,
     make_discrete_grid,
+    pairing_matrix,
     resolvent,
     theorem2_residuals,
 )
+from detchain.chain import indicators
 from detchain.fredholm import (
     _identity_products,
+    _support,
     _transfer_resolvent_rows,
+    _w_pairing,
     theorem2_residuals_of,
     transfer_resolvent_residual,
 )
 from detchain.instances import monomial_discrete_config, random_discrete_instance
 from detchain.cli import parse_instance
 
-from .conftest import two_point_chain
+from .conftest import two_point_chain, workload_instances
+from .density_forms import joint_density
 
 
 def checked_kernel(tables):
@@ -251,7 +255,9 @@ def test_janossy_masses_sum_to_one():
 
 
 def test_correlation_at_full_configuration_matches_density_determinant():
-    from detchain import enumerate_configurations, probnm_total_mass
+    from detchain import enumerate_configurations
+
+    from .density_forms import probnm_total_mass
 
     inst = positive_instance(seed=88, sizes=(4, 4))
     bases, Kc = checked_kernel(inst.tables)
@@ -431,3 +437,116 @@ def test_no_row_is_tautological(target, judged):
     rows = check_rows(tables, plain, dual)
     over = {name for name, (v, b) in rows.items() if v > b}
     assert over == judged, rows
+
+
+def dense_counts(Kc, intervals, shape):
+    """The count table from one dense determinant det(1 - M_SS diag(1 - xi))
+    per root-of-unity tuple, inverted by the FFT."""
+    chi = np.concatenate(indicators(Kc.grids, intervals))
+    col = np.concatenate([g.weights for g in Kc.grids]) * chi
+    S = np.flatnonzero(col)
+    level = np.searchsorted(np.asarray(Kc.offsets), S, side="right") - 1
+    values = np.empty(shape, dtype=complex)
+    for k in np.ndindex(shape):
+        xi = np.exp(2j * np.pi * np.array(k) / np.array(shape))
+        M = Kc.matrix[np.ix_(S, S)] * (col[S] * (1.0 - xi[level]))
+        values[k] = np.linalg.det(np.eye(S.size) - M)
+    return np.fft.fftn(values).real / values.size
+
+
+def one_route_cases(tmp_path):
+    """(Kc, weights, intervals, max_counts) for structured_cases() with every
+    node inside the count intervals, gl_chain seed 1 config 0 with its own,
+    and three kernels without factors: build_g's, K less a g that is not
+    strictly block-lower, and a 1 x 1 matrix."""
+    for tables, ws in structured_cases():
+        everything = [[(float(g.nodes[0]) - 1.0, float(g.nodes[-1]))] for g in tables.grids]
+        yield checked_kernel(tables)[1], ws, everything, (None, 3)
+    inst = workload_instances("gl_chain", 1, [0], tmp_path)[0]
+    yield checked_kernel(inst.tables)[1], inst.weights, inst.weight_intervals, (None,)
+    tables, ws = random_discrete_instance(2, m=3, N=2)
+    yield build_g(tables, ws), ws, None, ()
+    g = build_g(tables, WeightSet.zeros(tables.grids))
+    full = BlockKernel(matrix=g.matrix + 0.01, grids=g.grids, checked=True)
+    Kc = check_kernel(build_K(dual_bases(tables, WeightSet.zeros(tables.grids))), full)
+    assert Kc.factors is None and Kc.transfer is None
+    yield Kc, ws, None, ()
+    grid = make_discrete_grid([0.0], [0.8])
+    yield (BlockKernel(matrix=np.array([[0.7]]), grids=(grid,), checked=True, rank=1),
+           WeightSet.ones([grid]), [[(-1.0, 1.0)]], (None, 3))
+
+
+def points_around(Kc, ws, rank):
+    """Per level, a node inside S = supp(mu w) and one outside it, where there are."""
+    points = []
+    for grid, w in zip(Kc.grids, ws.w):
+        inside, outside = np.flatnonzero(grid.weights * w), np.flatnonzero(w == 0)
+        points.append([int(p[len(p) // 2]) for p in (inside, outside) if p.size])
+    return [p[:rank] for p in points]
+
+
+def test_one_route_matches_dense_reference(tmp_path):
+    """fredholm_det, resolvent, janossy and correlation from the structure
+    (or, for kernels without factors, from Psi_S = I, Phi_S = Kc_SS and
+    g = 0) agree with the dense (sum n)^2 formulas, and the count table with
+    one dense determinant per root tuple."""
+    kinds = set()
+    for Kc, ws, intervals, max_counts in one_route_cases(tmp_path):
+        kinds.add(Kc.factors is not None)
+        det_ref, R_ref = dense_reference(Kc, ws)
+        scale = max(1.0, float(np.max(np.abs(R_ref))))
+        assert abs(fredholm_det(Kc, ws) - det_ref) <= 1e-13 * max(1.0, abs(det_ref))
+        assert np.max(np.abs(resolvent(Kc, ws).matrix - R_ref)) <= 1e-13 * scale
+        points = points_around(Kc, ws, Kc.rank or 1)
+        idx = [Kc.offsets[j] + p for j, pts in enumerate(points) for p in pts]
+        ref = det_ref * np.linalg.det(R_ref[np.ix_(idx, idx)])
+        assert abs(janossy(Kc, ws, points) - ref) <= 1e-13 * scale * max(1.0, abs(ref))
+        ref = np.linalg.det(Kc.matrix[np.ix_(idx, idx)])
+        assert abs(correlation(Kc, points) - ref) <= 1e-13 * max(1.0, abs(ref))
+        for max_count in max_counts:
+            dist = gap_generating_function(Kc, intervals, max_count)
+            shape = tuple(np.array(max(dist.probabilities)) + 1)
+            table = dense_counts(Kc, intervals, shape)
+            worst = max(abs(p - table[k]) for k, p in dist.probabilities.items())
+            assert worst <= 1e-13 * max(1.0, float(np.max(np.abs(table))))
+    assert kinds == {True, False}
+
+
+def test_w_pairing_is_the_plain_dual_pairing(tmp_path):
+    """I - Phi_S D X is the w-pairing of the plain dual bases, ((PL)^{-1} A^w
+    U^{-1})^T from the plain record's PLU, and its determinant is
+    det A^w / det A^0; both to N cond(A^w) eps relative."""
+    instances = workload_instances("discrete_verify", 401, range(1, 61), tmp_path)
+    instances += workload_instances("gl_chain", 1, range(3), tmp_path)
+    eps = np.finfo(float).eps
+    for inst in instances:
+        plain = dualize(inst.tables, WeightSet.zeros(inst.tables.grids))
+        on = _support(plain.Kc, inst.weights)
+        pairing = _w_pairing(on, on.forward(on.psi_t.copy()))
+        dec = plain.bases.decomposition
+        A = pairing_matrix(inst.tables, inst.weights)
+        dual = np.linalg.solve(dec.L, A[dec.permutation]) @ np.linalg.inv(dec.U)
+        bound = inst.tables.N * np.linalg.cond(A) * eps
+        assert np.max(np.abs(pairing - dual.T)) <= bound * np.max(np.abs(dual))
+        ratio = np.linalg.det(A) / np.linalg.det(dec.A)
+        assert abs(np.linalg.det(pairing) - ratio) <= bound * abs(ratio)
+
+
+def test_structured_kernels_factor_nothing_larger_than_n_plus_points(tmp_path, monkeypatch):
+    """On a kernel that carries its factors, every matrix fredholm_det, janossy
+    and gap_generating_function factor is at most N + k square, k the number
+    of points, while S holds hundreds of nodes."""
+    inst = workload_instances("gl_chain", 1, [0], tmp_path)[0]
+    Kc = dualize(inst.tables, WeightSet.zeros(inst.tables.grids)).Kc
+    assert np.count_nonzero(np.concatenate(inst.weights.w)) > 300
+    orders = []
+    for name in ("det", "slogdet", "solve", "inv"):
+        def recorded(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            orders.append(np.shape(a)[-1])
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    fredholm_det(Kc, inst.weights)
+    janossy(Kc, inst.weights, inst.task.points)
+    gap_generating_function(Kc, inst.weight_intervals, inst.task.max_count)
+    k = sum(len(p) for p in inst.task.points)
+    assert orders and max(orders) <= inst.tables.N + k

@@ -26,7 +26,6 @@ from detchain import (
     oracle_counts,
     oracle_gap,
     oracle_janossy,
-    probnm_total_mass,
 )
 from detchain import oracle
 from detchain.oracle import Enumeration
@@ -35,6 +34,7 @@ from detchain.cli import parse_instance
 from detchain.instances import monomial_discrete_config, random_discrete_instance
 
 from .conftest import soft_m2n2, two_point_chain
+from .density_forms import probnm_total_mass
 
 
 def positive_setup(seed=77, m=2, N=2, sizes=(4, 4), raw=None, **kwargs):
