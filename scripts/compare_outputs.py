@@ -4,10 +4,12 @@
     python3 scripts/compare_outputs.py [REF]        (REF defaults to HEAD)
 
 Extracts REF with ``git archive`` into a temporary directory and writes the
-configs once: the four bundled ones, two variants of ``discrete_m2n2`` (soft
-weight vectors with its task points; its indicator sets with task points
-outside them), two monomial chains with more than 10^7 labeled tuples
-(m, N = 3, 3 on 7 nodes per level and 4, 2 on 8; no sampler section), plus
+configs once: the four bundled ones, three variants of ``discrete_m2n2``
+(soft weight vectors with its task points; its indicator sets with task
+points outside them; w = 1 on level 1 and 0 on level 2 with two level-1 task
+points, where the gap vanishes but the Janossy density does not), two
+monomial chains with more than 10^7 labeled tuples (m, N = 3, 3 on 7 nodes
+per level and 4, 2 on 8; no sampler section), plus
 the seed-1 configs ``gl_chain`` 0-2, ``discrete_verify`` 0-5 and ``mcmc``
 0-1 of ``perfbench/workloads.py`` (imported by path, read only). Each tree
 then runs the seven commands on every config in one subprocess, with BLAS
@@ -73,12 +75,16 @@ def write_configs(directory: Path) -> list[Path]:
         configs.append(directory / f"{name}.json")
         shutil.copyfile(REPO / "configs" / f"{name}.json", configs[-1])
     # the Janossy density away from the indicator case: soft weights at the
-    # task points, and indicator sets that leave the task points out
+    # task points, indicator sets that leave the task points out, and a
+    # weight set whose gap vanishes, with both task points on its level 1
     raw = json.loads((REPO / "configs" / "discrete_m2n2.json").read_text())
     soft = dict(raw, weights={"vectors": [[0.1 + 0.2 * k for k in range(len(g["points"]))]
                                           for g in raw["grids"]]})
     outside = dict(raw, task=dict(raw["task"], points=[[0], [1]]))
-    for name, variant in (("soft_points", soft), ("outside_points", outside)):
+    zero_gap = dict(raw, weights={"vectors": [[1.0] * 4, [0.0] * 4]},
+                    task=dict(raw["task"], points=[[0, 2], []]))
+    for name, variant in (("soft_points", soft), ("outside_points", outside),
+                          ("zero_gap", zero_gap)):
         configs.append(directory / f"discrete_m2n2_{name}.json")
         configs[-1].write_text(json.dumps(variant))
     # two chains with few N-subsets but more than 10^7 labeled tuples, and no

@@ -17,10 +17,12 @@ levels of S,
 
     det(1 - Kc o w) = det(I_N - Phi_S D X),
 
-the N x N determinant the paper's theorem gives as det A^w / det A^0. From
-the same X come the resolvent, by Woodbury, the Janossy density at k
-points, as one (N + k)-square determinant, and the count distribution, by
-expanding that N x N matrix in per-level factors. A kernel without
+the N x N determinant the paper's theorem gives as det A^w / det A^0. The
+same route gives the Janossy density at k points, as one (N + k)-square
+determinant bordering that N x N matrix, and the count distribution, as
+that determinant at the complex weights (1 - xi_j) chi_j for all root
+tuples xi in one batch. Only the resolvent, whose (sum n_j)^2 output
+already costs O((sum n_j)^2 |S|), solves on S directly. A kernel without
 factors takes the same route with Psi_S = I, Phi_S = Kc_SS and g = 0,
 which is the dense formula on S.
 
@@ -72,24 +74,26 @@ def _require_checked(kernel: BlockKernel) -> None:
 class _OnSupport(NamedTuple):
     """A checked kernel Kc = Psi^T Phi - g on S = supp(mu w), D = diag(mu w)_S.
 
-    The nodes of level j in S are S[bounds[j - 1]:bounds[j]]. ``lower`` holds
-    (lo, hi, g[S_j, S_<j]) for each level j whose rows S[lo:hi] have nodes of
-    S below them; g is strictly block-lower, so no other block of g_SS is
-    nonzero.
+    ``lower`` holds (lo, hi, g[S_j, S_<j]) for each level j whose rows
+    S[lo:hi] have nodes of S below them; g is strictly block-lower, so no
+    other block of g_SS is nonzero. ``d`` is |S| long, or |S| x T for a
+    batch of T diagonals D_t, each acting on its own |S| x N slice
+    Y[:, t] of a |S| x T x N operand.
     """
 
     S: np.ndarray
     d: np.ndarray
-    bounds: list[int]
     psi_t: np.ndarray   # Psi_S^T, |S| x N
     phi: np.ndarray     # Phi_S, N x |S|
     lower: list
 
     def forward(self, Y: np.ndarray) -> np.ndarray:
         """(1 + g_SS D)^{-1} Y in place, by block forward substitution: the
-        solution's row block j is Y_j - g[S_j, S_<j] D_<j X_<j."""
+        solution's row block j is Y_j - g[S_j, S_<j] D_<j X_<j, one product
+        per level over all the columns of the batch."""
         for lo, hi, g in self.lower:
-            Y[lo:hi] -= g @ (self.d[:lo, None] * Y[:lo])
+            DY = (self.d[:lo, ..., None] * Y[:lo]).reshape(lo, -1)
+            Y[lo:hi] -= (g @ DY).reshape(Y[lo:hi].shape)
         return Y
 
 
@@ -99,25 +103,25 @@ def _support(Kc: BlockKernel, weights: WeightSet) -> _OnSupport:
     _require_checked(Kc)
     col = _measure_weights(Kc.grids, weights)
     S = np.flatnonzero(col)
-    bounds = np.searchsorted(S, Kc.offsets).tolist()
     if Kc.factors is None:
-        return _OnSupport(S, col[S], bounds, np.eye(S.size), Kc.matrix[np.ix_(S, S)], [])
+        return _OnSupport(S, col[S], np.eye(S.size), Kc.matrix[np.ix_(S, S)], [])
+    bounds = np.searchsorted(S, Kc.offsets).tolist()
     g = Kc.transfer
     lower = [(lo, hi, g[S[lo:hi, None], S[:lo]])
              for lo, hi in zip(bounds[1:-1], bounds[2:]) if g is not None and 0 < lo < hi]
     psi, phi = Kc.factors
-    return _OnSupport(S, col[S], bounds, psi[:, S].T, phi[:, S], lower)
+    return _OnSupport(S, col[S], psi[:, S].T, phi[:, S], lower)
 
 
 def _w_pairing(on: _OnSupport, X: np.ndarray) -> np.ndarray:
     """I - Phi_S D X for X = (1 + g_SS D)^{-1} Psi_S^T: the N x N matrix whose
-    determinant is det(1 - Kc o w).
+    determinant is det(1 - Kc o w); for a batch, the T x N x N stack of them.
 
     For the plain dualization it is the w-pairing of the plain dual bases
     against mu (1 - w), transposed: ((P L)^{-1} A^w U^{-1})^T from the PLU
     of A^0, so its determinant is det A^w / det A^0.
     """
-    return _one_minus(on.phi @ (on.d[:, None] * X))
+    return np.eye(len(on.phi)) - on.phi @ (on.d[..., None] * X).swapaxes(0, -2)
 
 
 def fredholm_det(Kc: BlockKernel, weights: WeightSet) -> float:
@@ -131,61 +135,26 @@ def fredholm_det(Kc: BlockKernel, weights: WeightSet) -> float:
     return float(np.linalg.det(_w_pairing(on, on.forward(on.psi_t))))
 
 
-def _max_abs_columns(matrix: np.ndarray, S: np.ndarray, d: np.ndarray) -> float:
-    """max |matrix[:, S] diag(d)|, from each column's largest and smallest entry
-    and without forming the (sum n_j) x |S| product; 0 when S is empty."""
-    if not S.size:
-        return 0.0
-    span = matrix[:, S[0]:S[-1] + 1]
-    largest = np.maximum(span.max(axis=0), -span.min(axis=0))[S - S[0]]
-    return float(np.max(largest * np.abs(d)))
-
-
-def _solve_on(Kc: BlockKernel, on: _OnSupport, B: np.ndarray):
-    """X = (1 + g_SS D)^{-1} Psi_S^T, Z = (1 + g_SS D)^{-1} B and C = I - Phi_S D X
-    for B = Kc[S, idx].
-
-    det(1 - M_SS) = det C; a determinant below 1e-12 max(1, max|M|) is
-    refused as vanishing.
-    """
-    N = on.psi_t.shape[1]
-    Y = on.forward(np.hstack([on.psi_t, B]))
-    X, Z = Y[:, :N], Y[:, N:]
-    pairing = _w_pairing(on, X)
-    det = float(np.linalg.det(pairing))
-    floor = _RESOLVENT_DET_FLOOR * max(1.0, _max_abs_columns(Kc.matrix, on.S, on.d))
-    if abs(det) <= floor:
-        raise ResolventSingular(
-            f"Fredholm determinant {det:.3e} vanishes: |det| <= {floor:.3e}, the floor "
-            "1e-12 max(1, max|M|); no resolvent"
-        )
-    return X, Z, pairing
-
-
 def resolvent(Kc: BlockKernel, weights: WeightSet) -> BlockKernel:
     """Kernel-valued Fredholm resolvent blocks of Kc o w.
 
     Returns (1 - M)^{-1} Kc with M the weighted kernel matrix, which is
     (1 - M)^{-1} M with the right diag(mu w) factor stripped; right-composing
     the result with w reproduces the resolvent operator exactly. It is formed
-    on the support S of mu w as Kc + M[:, S] Y with (1 - M_SS) Y = Kc[S, :],
-    solved by Woodbury as Y = Z + X C^{-1} Phi_S D Z (see ``_solve_on``).
-    That formula is not backward stable when C is ill-conditioned, so one
-    step of iterative refinement follows, its residual B - (1 - M_SS) Y
-    taken against the kernel's own matrix and summed in extended precision.
+    on the support S of mu w as Kc + M[:, S] (1 - M_SS)^{-1} Kc[S, :], with
+    one LU of 1 - M_SS. A Fredholm determinant below 1e-12 max(1, max|M|)
+    is refused as vanishing.
     """
-    on = _support(Kc, weights)
-    B = Kc.matrix[on.S]
-    X, Z, pairing = _solve_on(Kc, on, B)
-
-    def woodbury(Z):
-        return Z + X @ np.linalg.solve(pairing, on.phi @ (on.d[:, None] * Z))
-
-    solved = woodbury(Z)
-    residual = (B - solved) + Kc.matrix[np.ix_(on.S, on.S)] @ (
-        on.d[:, None].astype(np.longdouble) * solved)
-    solved += woodbury(on.forward(residual.astype(float)))
-    matrix = Kc.matrix + (Kc.matrix[:, on.S] * on.d) @ solved
+    det = fredholm_det(Kc, weights)
+    S, M_S = _support_columns(Kc, weights)
+    floor = _RESOLVENT_DET_FLOOR * max(1.0, M_S.max(initial=0.0), -M_S.min(initial=0.0))
+    if abs(det) <= floor:
+        raise ResolventSingular(
+            f"Fredholm determinant {det:.3e} vanishes: |det| <= {floor:.3e}, the floor "
+            "1e-12 max(1, max|M|); no resolvent"
+        )
+    solved = np.linalg.solve(_one_minus(M_S[S]), Kc.matrix[S])
+    matrix = Kc.matrix + M_S @ solved
     return BlockKernel(matrix=matrix, grids=Kc.grids, checked=True, rank=Kc.rank)
 
 
@@ -203,20 +172,22 @@ def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
     for indicator w and points inside the sets it is the density of finding
     exactly those points there. The value is the Fredholm determinant times
     the determinant of the resolvent sampled at x, R = Kc_xx + M_xS (1 -
-    M_SS)^{-1} Kc_Sx, taken as one (N + k) x (N + k) determinant: with the
-    Woodbury form of the solve (see ``resolvent``) and C = I - Phi_S D X,
-    det C det R = det [[C, Phi_S D Z], [-M_xS X, Kc_xx + M_xS Z]] by the
-    Schur complement of C. With no points it reduces to det(1 - Kc o w).
+    M_SS)^{-1} Kc_Sx, taken as one (N + k) x (N + k) determinant: with C = I
+    - Phi_S D X and Z = (1 + g_SS D)^{-1} Kc_Sx, det C det R = det [[C,
+    Phi_S D Z], [-M_xS X, Kc_xx + M_xS Z]] by the Schur complement of C.
+    Both sides are polynomials in the entries, so the bordered determinant
+    is the density also where det C = 0. With no points it reduces to
+    det(1 - Kc o w), and with S empty to det Kc_xx.
     """
     idx = _node_index(Kc, point_lists(Kc.grids, points))
     on = _support(Kc, weights)
-    if not on.S.size:  # det(1 - Kc o w) = 1 and R = Kc_xx
-        return float(np.linalg.det(Kc.matrix[np.ix_(idx, idx)]))
     rows, cols = Kc.matrix[idx], Kc.matrix[:, idx]
-    X, Z, pairing = _solve_on(Kc, on, cols[on.S])
-    N, M_xS = len(pairing), rows[:, on.S] * on.d
+    N = on.psi_t.shape[1]
+    Y = on.forward(np.hstack([on.psi_t, cols[on.S]]))
+    X, Z = Y[:, :N], Y[:, N:]
+    M_xS = rows[:, on.S] * on.d
     bordered = np.empty((N + idx.size,) * 2)
-    bordered[:N, :N] = pairing
+    bordered[:N, :N] = _w_pairing(on, X)
     bordered[:N, N:] = on.phi @ (on.d[:, None] * Z)
     bordered[N:, :N] = -(M_xS @ X)
     bordered[N:, N:] = rows[:, idx] + M_xS @ Z
@@ -258,38 +229,6 @@ def count_degrees(rank: int | None, sizes, max_count: int | None = None) -> list
     return degrees if max_count is None else [min(int(max_count), s) for s in sizes]
 
 
-def _multilinear_coefficients(on: _OnSupport, m: int) -> np.ndarray:
-    """The coefficients H_U of Phi_S D_kappa (1 + g_SS D_kappa)^{-1} Psi_S^T =
-    sum over nonempty level sets U of prod_{j in U} kappa_j H_U, with
-    D_kappa = D diag(kappa_j on the level-j nodes of S).
-
-    Expanding the inverse along g's strictly lower blocks, each term runs
-    down a chain of levels u_1 > u_2 > ... > u_k, and the chain is its set U:
-    H_U = Phi_{u_1} D_{u_1} (-g_{u_1 u_2}) D_{u_2} ... (-g_{u_{k-1} u_k})
-    D_{u_k} Psi_{u_k}^T. Returned as a (2,) * m + (N, N) array whose index j
-    is 1 where level j is in U; levels without nodes in S add nothing.
-    """
-    b = on.bounds
-    H = np.zeros((2,) * m + (on.psi_t.shape[1],) * 2)
-    lower = {lo: g for lo, _, g in on.lower}
-    # chains[j]: (U, D_{u_1} (-g_{u_1 u_2}) ... Psi_{u_k}^T) for each chain
-    # from u_1 = j, on the level-j rows of S
-    chains: dict[int, list] = {}
-    for j in range(m):
-        rows = slice(b[j], b[j + 1])
-        if rows.start == rows.stop:
-            continue
-        # a chain from j is j alone, or j followed by a chain from a level i < j
-        terms = [((j,), on.psi_t[rows])]
-        g = lower.get(rows.start)
-        for i, from_i in chains.items() if g is not None else ():
-            terms += [((j,) + U, -(g[:, b[i]:b[i + 1]] @ W)) for U, W in from_i]
-        chains[j] = [(U, on.d[rows, None] * W) for U, W in terms]
-        for U, W in chains[j]:
-            H[tuple(int(k in U) for k in range(m))] = on.phi[:, rows] @ W
-    return H
-
-
 def _along(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
     """``matrix`` applied along one axis of ``values``, which keeps its place."""
     labels = list(range(values.ndim))
@@ -303,28 +242,27 @@ def gap_generating_function(Kc: BlockKernel, intervals, max_count: int | None = 
     With per-level indicators chi_j, det(1 - Kc o ((1 - xi_j) chi_j)) is the
     generating polynomial sum_k P(counts = k) prod_j xi_j^{k_j}. Its degree
     in xi_j is at most d_j = min(N, |S_j|), with S_j the level-j nodes inside
-    the intervals (|S_j| alone when the rank N is unknown). With kappa_j =
-    1 - xi_j the polynomial is det(I - sum_U prod_{j in U} kappa_j H_U), the
-    N x N coefficients of ``_multilinear_coefficients``; it is evaluated
-    with each xi_j at the (d_j + 1)-th roots of unity, one batched N x N
-    determinant over all root tuples, and the inverse DFT recovers the
+    the intervals (|S_j| alone when the rank N is unknown). It is evaluated
+    with each xi_j at the (d_j + 1)-th roots of unity by ``fredholm_det``'s
+    route, with D_xi = D diag(1 - xi_j on the level-j nodes of S): one
+    forward substitution over all T = prod (d_j + 1) root tuples at once and
+    one batched N x N determinant. The inverse DFT recovers the
     probabilities. ``max_count`` raises d_j up to |S_j| (see ``count_degrees``).
     """
     chi = indicators(Kc.grids, intervals)
     on = _support(Kc, WeightSet(tuple(chi)))
-    sizes = [int(c.sum()) for c in chi]
-    shape = tuple(k + 1 for k in count_degrees(Kc.rank, sizes, max_count))
-    values = _multilinear_coefficients(on, Kc.m)
-    # axis j of the coefficients is (1, kappa_j) in the level-j factor; the
-    # same contraction along every axis turns it into the values at all root
-    # tuples, and then the inverse DFT, a product with the (d_j + 1)-square
-    # DFT matrix, turns those into the probabilities: the lengths are small,
-    # and loading numpy.fft for them would add about half a megabyte of
-    # resident memory to every process
-    for axis, n in enumerate(shape):
-        roots = np.exp(2j * np.pi * np.arange(n) / n)
-        values = _along(np.stack([np.ones(n), 1.0 - roots], axis=1), values, axis)
-    coeffs = np.linalg.det(np.eye(values.shape[-1]) - values)
+    shape = tuple(k + 1 for k in count_degrees(Kc.rank, [int(c.sum()) for c in chi],
+                                               max_count))
+    # xi_j at every root tuple, one row per level
+    xi = np.exp(2j * np.pi * np.indices(shape).reshape(len(shape), -1)
+                / np.array(shape)[:, None])
+    level = np.searchsorted(Kc.offsets, on.S, side="right") - 1
+    batch = on._replace(d=on.d[:, None] * (1.0 - xi[level]))
+    X = batch.forward(np.repeat(on.psi_t[:, None].astype(complex), xi.shape[1], axis=1))
+    coeffs = np.linalg.det(_w_pairing(batch, X)).reshape(shape)
+    # the inverse DFT, a product with the (d_j + 1)-square DFT matrix along
+    # each axis: the lengths are small, and loading numpy.fft for them would
+    # add about half a megabyte of resident memory to every process
     for axis, n in enumerate(shape):
         inverse = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / n
         coeffs = _along(inverse, coeffs, axis)

@@ -24,6 +24,17 @@ def soft_m2n2():
     return raw
 
 
+def zero_gap_m2n2():
+    """discrete_m2n2 with w = 1 on level 1, w = 0 on level 2 and two level-1
+    task points. Every configuration has its N = 2 level-1 points in the set,
+    so det(1 - Kc o w) vanishes; the Janossy density at the two points is the
+    probability of that pair, divided by their masses."""
+    raw = json.loads((CONFIG_DIR / "discrete_m2n2.json").read_text())
+    raw["weights"] = {"vectors": [[1.0] * 4, [0.0] * 4]}
+    raw["task"]["points"] = [[0, 2], []]
+    return raw
+
+
 def load_bundled(name):
     raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     return parse_instance(raw, path=name)

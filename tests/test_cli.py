@@ -9,7 +9,7 @@ import detchain
 from detchain.cli import main, parse_instance
 from detchain.instances import monomial_discrete_config, random_discrete_instance
 
-from .conftest import CONFIG_DIR, REPO_ROOT, soft_m2n2
+from .conftest import CONFIG_DIR, REPO_ROOT, soft_m2n2, zero_gap_m2n2
 
 
 def run(args):
@@ -79,8 +79,9 @@ def _points_outside_the_sets():
     return raw
 
 
-@pytest.mark.parametrize("raw, rows", [(soft_m2n2(), 3), (_points_outside_the_sets(), 4)],
-                         ids=["soft_weights", "points_outside_the_sets"])
+@pytest.mark.parametrize("raw, rows", [(soft_m2n2(), 3), (_points_outside_the_sets(), 4),
+                                       (zero_gap_m2n2(), 3)],
+                         ids=["soft_weights", "points_outside_the_sets", "zero_gap"])
 def test_janossy_and_oracle_take_any_weights_and_points(tmp_path, capsys, raw, rows):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))

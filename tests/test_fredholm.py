@@ -16,12 +16,14 @@ from detchain import (
     correlation,
     dual_bases,
     dualize,
+    enumerate_configurations,
     factorization_residual,
     fredholm_det,
     g_resolvent_residual,
     gap_generating_function,
     janossy,
     make_discrete_grid,
+    oracle_janossy,
     pairing_matrix,
     resolvent,
     theorem2_residuals,
@@ -38,7 +40,7 @@ from detchain.fredholm import (
 from detchain.instances import monomial_discrete_config, random_discrete_instance
 from detchain.cli import parse_instance
 
-from .conftest import two_point_chain, workload_instances
+from .conftest import two_point_chain, workload_instances, zero_gap_m2n2
 from .density_forms import joint_density
 
 
@@ -66,12 +68,18 @@ def test_det_vanishes_when_projection_fills_space():
     assert abs(det) < 1e-12
 
 
-def test_det_requires_checked_kernel():
+@pytest.mark.parametrize("operation", [
+    lambda K, w: fredholm_det(K, w),
+    lambda K, w: resolvent(K, w),
+    lambda K, w: janossy(K, w, [[0]]),
+    lambda K, w: gap_generating_function(K, [[(-1.0, 1.0)]]),
+], ids=["fredholm_det", "resolvent", "janossy", "gap_generating_function"])
+def test_det_requires_checked_kernel(operation):
     tables = two_point_chain()
     bases = dual_bases(tables, WeightSet.zeros(tables.grids))
     K = build_K(bases)
     with pytest.raises(StateError):
-        fredholm_det(K, WeightSet.zeros(tables.grids))
+        operation(K, WeightSet.zeros(tables.grids))
 
 
 def test_det_of_transfer_kernel_is_one():
@@ -153,6 +161,18 @@ def test_janossy_empty_points_is_gap_probability():
     const = fredholm_det(Kc, inst.weights)
     value = janossy(Kc, inst.weights, [[] for _ in range(inst.tables.m)])
     assert abs(value - const) < 1e-14
+
+
+def test_janossy_where_the_gap_vanishes():
+    """det(1 - Kc o w) = 0 does not stop the Janossy density: the bordered
+    determinant matches the enumeration."""
+    inst = parse_instance(zero_gap_m2n2())
+    bases, Kc = checked_kernel(inst.tables)
+    assert abs(fredholm_det(Kc, inst.weights)) <= 1e-12
+    ref = oracle_janossy(enumerate_configurations(inst.tables, bases=bases),
+                         inst.weights, inst.task.points)
+    assert ref > 0.1
+    assert abs(janossy(Kc, inst.weights, inst.task.points) - ref) <= 1e-10
 
 
 def test_joint_density_rank_one_identity():
