@@ -9,9 +9,12 @@ configs once: the four bundled ones, three variants of ``discrete_m2n2``
 points outside them; w = 1 on level 1 and 0 on level 2 with two level-1 task
 points, where the gap vanishes but the Janossy density does not), two
 monomial chains with more than 10^7 labeled tuples (m, N = 3, 3 on 7 nodes
-per level and 4, 2 on 8; no sampler section), plus
+per level and 4, 2 on 8; no sampler section), a chain whose gap is
+5.0e-13 (m, N = 3, 2 on 7 nodes per level, seed 7, coupling 1, w = 1 except
+on the last two nodes of each level; no sampler section), plus
 the seed-1 configs ``gl_chain`` 0-2, ``discrete_verify`` 0-5 and ``mcmc``
-0-1 of ``perfbench/workloads.py`` (imported by path, read only). Each tree
+0-1 of ``perfbench/workloads.py`` (imported by path, read only) and
+``discrete_verify`` seed 4, cycle 1816 (cond A^w 1.25e8). Each tree
 then runs the seven commands on every config in one subprocess, with BLAS
 pinned to one thread. Prints every difference in exit code, stdout, stderr
 or CSV. For each ``check`` row it then prints the largest new/old residual
@@ -67,7 +70,7 @@ def load_perfbench(name: str):
 
 def write_configs(directory: Path) -> list[Path]:
     """The bundled configs, their variants, two chains beyond 10^7 labeled
-    tuples and the workloads' seed-1 configs, one file each."""
+    tuples, a small-gap chain and the workload configs, one file each."""
     from detchain.instances import monomial_discrete_config
 
     configs = []
@@ -94,6 +97,12 @@ def write_configs(directory: Path) -> list[Path]:
         del raw["task"]["sampler"]
         configs.append(directory / f"monomial_m{m}n{n}.json")
         configs[-1].write_text(json.dumps(raw))
+    # a gap of 5.0e-13: every point must sit on the last two nodes of its level
+    raw = monomial_discrete_config(7, 3, 2, (7, 7, 7), coupling=1.0)
+    raw["weights"] = {"vectors": [[1.0] * 5 + [0.0, 0.0]] * 3}
+    del raw["task"]["sampler"]
+    configs.append(directory / "small_gap_m3n2.json")
+    configs[-1].write_text(json.dumps(raw))
     workloads = load_perfbench("workloads")
     scratch = directory / "workloads"
     for name, cycles in WORKLOAD_CYCLES.items():
@@ -102,6 +111,10 @@ def write_configs(directory: Path) -> list[Path]:
             configs.append(directory / f"{name}-{cycle}.json")
             # some workloads rewrite one file per cycle: copy it out at once
             shutil.copyfile(workload.config_for(cycle), configs[-1])
+    # the stem keeps its workload's name, so the benchmark's checks run on it too
+    configs.append(directory / "discrete_verify-s4c1816.json")
+    shutil.copyfile(workloads.WORKLOADS["discrete_verify"](4, scratch).config_for(1816),
+                    configs[-1])
     shutil.rmtree(scratch)
     return configs
 

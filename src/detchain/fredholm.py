@@ -2,29 +2,29 @@
 
 All Fredholm objects live on the direct-sum space: a kernel right-composed
 with a weight set w is its (sum n_j) x (sum n_j) matrix M with block column j
-scaled by diag(mu_j * w_j). Every column of M outside S = supp(mu w)
-vanishes, so with M_SS its S x S block the gap probability (for indicator
-w) and the Fredholm resolvent kernel are
+scaled by diag(mu_j * w_j), and det(1 - Kc o w) is the Fredholm determinant.
 
-    det(1 - Kc o w) = det(1 - M_SS),
-    (1 - M)^{-1} Kc = Kc + M[:, S] (1 - M_SS)^{-1} Kc[S, :].
+A checked kernel from ``check_kernel`` keeps the chain tables and the dual
+bases psi, phi it was dualized from, at some weights u. The Fredholm
+quantities are walked from them, and never read the kernel's matrix. With
+nu = mu (1 - u - w) per level, psi^(1) walked up the chain with masses nu by
+``biortho.walk`` and paired with phi^(m) against nu_m is the N x N matrix
 
-A checked kernel carries its structure Kc = Psi^T Phi - g, with rank-N
-factors and g strictly block-lower, so with D = diag(mu w)_S the matrix
-1 - M_SS is (1 + g_SS D) - Psi_S^T Phi_S D, and det(1 + g_SS D) = 1. With
-X = (1 + g_SS D)^{-1} Psi_S^T, found by block forward substitution on the
-levels of S,
+    P = (P L)^{-1} A^{u+w} U^{-1},
 
-    det(1 - Kc o w) = det(I_N - Phi_S D X),
+with P L U the pairing matrix A^u the bases came from, so that
 
-the N x N determinant the paper's theorem gives as det A^w / det A^0. The
-same route gives the Janossy density at k points, as one (N + k)-square
-determinant bordering that N x N matrix, and the count distribution, as
-that determinant at the complex weights (1 - xi_j) chi_j for all root
-tuples xi in one batch. Only the resolvent, whose (sum n_j)^2 output
-already costs O((sum n_j)^2 |S|), solves on S directly. A kernel without
-factors takes the same route with Psi_S = I, Phi_S = Kc_SS and g = 0,
-which is the dense formula on S.
+    det(1 - Kc o w) = det A^{u+w} / det A^u = det P / det P^0,
+
+the paper's theorem. P^0, the same pairing at w = 0, is the Gram matrix of
+the bases' biorthogonality, I up to rounding, so that w = 0 gives 1 exactly.
+For u = 0 and w in [0, 1] every mass is >= 0 and nothing cancels. The
+Janossy density at k points borders P^T with the walked bases and the
+nu-weighted transfers at the points, one (N + k)-square determinant; the
+count distribution is the gap at the complex weights (1 - xi_j) chi_j for
+all root tuples xi in one batch. A kernel without that structure is refused.
+Only the resolvent, whose (sum n_j)^2 output already costs O((sum n_j)^2
+|S|), solves on S = supp(mu w) with the kernel's matrix.
 
 The central identity states that the resolvent of the checked kernel
 equals the checked kernel of the (1 - w)-dualized construction, composed
@@ -39,12 +39,11 @@ g, one level-row block at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .biortho import dual_masses, walk
-from .chain import ChainTables, WeightSet, indicators, point_lists
+from .biortho import DualBases, dual_masses, walk
+from .chain import ChainTables, WeightSet, check_weights, indicators, point_lists
 from .errors import ResolventSingular, StateError
 from .kernels import (
     BlockKernel,
@@ -71,68 +70,48 @@ def _require_checked(kernel: BlockKernel) -> None:
         raise StateError("operation requires a checked kernel (transfer part subtracted)")
 
 
-class _OnSupport(NamedTuple):
-    """A checked kernel Kc = Psi^T Phi - g on S = supp(mu w), D = diag(mu w)_S.
-
-    ``lower`` holds (lo, hi, g[S_j, S_<j]) for each level j whose rows
-    S[lo:hi] have nodes of S below them; g is strictly block-lower, so no
-    other block of g_SS is nonzero. ``d`` is |S| long, or |S| x T for a
-    batch of T diagonals D_t, each acting on its own |S| x N slice
-    Y[:, t] of a |S| x T x N operand.
-    """
-
-    S: np.ndarray
-    d: np.ndarray
-    psi_t: np.ndarray   # Psi_S^T, |S| x N
-    phi: np.ndarray     # Phi_S, N x |S|
-    lower: list
-
-    def forward(self, Y: np.ndarray) -> np.ndarray:
-        """(1 + g_SS D)^{-1} Y in place, by block forward substitution: the
-        solution's row block j is Y_j - g[S_j, S_<j] D_<j X_<j, one product
-        per level over all the columns of the batch."""
-        for lo, hi, g in self.lower:
-            DY = (self.d[:lo, ..., None] * Y[:lo]).reshape(lo, -1)
-            Y[lo:hi] -= (g @ DY).reshape(Y[lo:hi].shape)
-        return Y
-
-
-def _support(Kc: BlockKernel, weights: WeightSet) -> _OnSupport:
-    """Kc on S = supp(mu w). A kernel without factors enters as Psi_S = I,
-    Phi_S = Kc_SS and g = 0, and one without a transfer part with g = 0."""
+def _dualization(Kc: BlockKernel) -> tuple[ChainTables, DualBases]:
+    """The chain tables and dual bases a checked kernel was dualized from."""
     _require_checked(Kc)
-    col = _measure_weights(Kc.grids, weights)
-    S = np.flatnonzero(col)
-    if Kc.factors is None:
-        return _OnSupport(S, col[S], np.eye(S.size), Kc.matrix[np.ix_(S, S)], [])
-    bounds = np.searchsorted(S, Kc.offsets).tolist()
-    g = Kc.transfer
-    lower = [(lo, hi, g[S[lo:hi, None], S[:lo]])
-             for lo, hi in zip(bounds[1:-1], bounds[2:]) if g is not None and 0 < lo < hi]
-    psi, phi = Kc.factors
-    return _OnSupport(S, col[S], psi[:, S].T, phi[:, S], lower)
+    if Kc._bases is None:
+        raise StateError("operation requires a checked kernel that keeps its "
+                         "dualization: check_kernel(build_K(bases), build_g(tables, "
+                         "weights)) at the bases' own weights")
+    return Kc._tables, Kc._bases
 
 
-def _w_pairing(on: _OnSupport, X: np.ndarray) -> np.ndarray:
-    """I - Phi_S D X for X = (1 + g_SS D)^{-1} Psi_S^T: the N x N matrix whose
-    determinant is det(1 - Kc o w); for a batch, the T x N x N stack of them.
+def _pairing(tables: ChainTables, bases: DualBases, nu: list) -> tuple[list, np.ndarray]:
+    """psi^(1) walked up with the masses nu, on every level, and P, its
+    pairing with phi^(m) against nu_m."""
+    up = walk(tables, nu, bases.psi[0], 1, upward=True)
+    return up, (up[-1] * nu[-1]) @ bases.phi[-1].T
 
-    For the plain dualization it is the w-pairing of the plain dual bases
-    against mu (1 - w), transposed: ((P L)^{-1} A^w U^{-1})^T from the PLU
-    of A^0, so its determinant is det A^w / det A^0.
-    """
-    return np.eye(len(on.phi)) - on.phi @ (on.d[..., None] * X).swapaxes(0, -2)
+
+def _gram_det(bases: DualBases) -> float:
+    """det P^0: the level-m pairing of the bases against their own masses,
+    formed as ``_pairing`` forms P, so that w = 0 gives P = P^0 bit for bit."""
+    grid, u = bases.grids[-1], bases.weight_set.w[-1]
+    return float(np.linalg.det((bases.psi[-1] * (grid.weights * (1.0 - u)))
+                               @ bases.phi[-1].T))
+
+
+def _masses(bases: DualBases, weights: WeightSet) -> list[np.ndarray]:
+    """nu = mu (1 - u - w) per level, u the weights the bases were dualized at."""
+    check_weights(bases.grids, weights)
+    return [g.weights * (1.0 - u - w)
+            for g, u, w in zip(bases.grids, bases.weight_set.w, weights.w)]
 
 
 def fredholm_det(Kc: BlockKernel, weights: WeightSet) -> float:
-    """det(1 - Kc o w), the determinant of the N x N ``_w_pairing``.
+    """det(1 - Kc o w) = det P / det P^0, P the w-pairing of the kernel's dual bases.
 
     For indicator weights this is the probability of finding no points in the
     chosen subsets; it may legitimately be <= 0 for weights outside [0, 1]
     and is returned as computed.
     """
-    on = _support(Kc, weights)
-    return float(np.linalg.det(_w_pairing(on, on.forward(on.psi_t))))
+    tables, bases = _dualization(Kc)
+    _, P = _pairing(tables, bases, _masses(bases, weights))
+    return float(np.linalg.det(P)) / _gram_det(bases)
 
 
 def resolvent(Kc: BlockKernel, weights: WeightSet) -> BlockKernel:
@@ -142,26 +121,21 @@ def resolvent(Kc: BlockKernel, weights: WeightSet) -> BlockKernel:
     (1 - M)^{-1} M with the right diag(mu w) factor stripped; right-composing
     the result with w reproduces the resolvent operator exactly. It is formed
     on the support S of mu w as Kc + M[:, S] (1 - M_SS)^{-1} Kc[S, :], with
-    one LU of 1 - M_SS. A Fredholm determinant below 1e-12 max(1, max|M|)
-    is refused as vanishing.
+    an LU of 1 - M_SS, for a checked kernel of any structure. A determinant
+    det(1 - M_SS) below 1e-12 max(1, max|M|) is refused as vanishing.
     """
-    det = fredholm_det(Kc, weights)
+    _require_checked(Kc)
     S, M_S = _support_columns(Kc, weights)
+    one_minus = _one_minus(M_S[S])
+    det = np.linalg.det(one_minus)
     floor = _RESOLVENT_DET_FLOOR * max(1.0, M_S.max(initial=0.0), -M_S.min(initial=0.0))
     if abs(det) <= floor:
         raise ResolventSingular(
             f"Fredholm determinant {det:.3e} vanishes: |det| <= {floor:.3e}, the floor "
             "1e-12 max(1, max|M|); no resolvent"
         )
-    solved = np.linalg.solve(_one_minus(M_S[S]), Kc.matrix[S])
-    matrix = Kc.matrix + M_S @ solved
+    matrix = Kc.matrix + M_S @ np.linalg.solve(one_minus, Kc.matrix[S])
     return BlockKernel(matrix=matrix, grids=Kc.grids, checked=True, rank=Kc.rank)
-
-
-def _node_index(kernel: BlockKernel, lists) -> np.ndarray:
-    """Indices into the kernel's matrix of checked per-level node lists."""
-    return np.array([kernel.offsets[level] + p for level, pts in enumerate(lists)
-                     for p in pts], dtype=int)
 
 
 def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
@@ -170,28 +144,40 @@ def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
     J^w(x) = E[sum over the placements of x in X of prod (1 - w(y)) over the
     other points y of X] / mu(x), for arbitrary real w and points anywhere;
     for indicator w and points inside the sets it is the density of finding
-    exactly those points there. The value is the Fredholm determinant times
-    the determinant of the resolvent sampled at x, R = Kc_xx + M_xS (1 -
-    M_SS)^{-1} Kc_Sx, taken as one (N + k) x (N + k) determinant: with C = I
-    - Phi_S D X and Z = (1 + g_SS D)^{-1} Kc_Sx, det C det R = det [[C,
-    Phi_S D Z], [-M_xS X, Kc_xx + M_xS Z]] by the Schur complement of C.
-    Both sides are polynomials in the entries, so the bordered determinant
-    is the density also where det C = 0. With no points it reduces to
-    det(1 - Kc o w), and with S empty to det Kc_xx.
+    exactly those points there. By the theorem it is det(1 - Kc o w) times
+    det Kc'(x, x), Kc' the checked kernel dualized at the masses nu, and
+    Kc'(x, y) = a(x)^T P^{-T} b(y) - G(x, y): a(x) is psi^(1) walked up to
+    x's level and b(y) phi^(m) walked down to y's, both read at the point,
+    and G holds the nu-weighted transfers between the points. By the Schur
+    complement of P^T the value is one (N + k)-square determinant,
+
+        J = (-1)^k det [[P^T, B], [A^T, G]] / det P^0,
+
+    with A and B holding a and b at the k points. Both sides are polynomials
+    in the entries, so it is the density also where det P = 0. With no
+    points it is det(1 - Kc o w).
     """
-    idx = _node_index(Kc, point_lists(Kc.grids, points))
-    on = _support(Kc, weights)
-    rows, cols = Kc.matrix[idx], Kc.matrix[:, idx]
-    N = on.psi_t.shape[1]
-    Y = on.forward(np.hstack([on.psi_t, cols[on.S]]))
-    X, Z = Y[:, :N], Y[:, N:]
-    M_xS = rows[:, on.S] * on.d
-    bordered = np.empty((N + idx.size,) * 2)
-    bordered[:N, :N] = _w_pairing(on, X)
-    bordered[:N, N:] = on.phi @ (on.d[:, None] * Z)
-    bordered[N:, :N] = -(M_xS @ X)
-    bordered[N:, N:] = rows[:, idx] + M_xS @ Z
-    return float(np.linalg.det(bordered))
+    tables, bases = _dualization(Kc)
+    lists = point_lists(Kc.grids, points)
+    nu = _masses(bases, weights)
+    up, P = _pairing(tables, bases, nu)
+    down = walk(tables, nu, bases.phi[-1], tables.m, upward=False)
+    at = [(level, p) for level, pts in enumerate(lists) for p in pts]
+    N, k = len(P), len(at)
+    bordered = np.zeros((N + k, N + k))
+    bordered[:N, :N] = P.T
+    for i, (level, p) in enumerate(at):
+        bordered[N + i, :N] = up[level][:, p]
+        bordered[:N, N + i] = down[level][:, p]
+        # G's column i: the transfer from the point up to the points on the
+        # levels above it, with the masses nu at the levels between
+        if level < tables.m - 1:
+            carried = walk(tables, nu, tables.g_values[level].T[p], level + 2,
+                           upward=True)
+            for r, (above, q) in enumerate(at):
+                if above > level:
+                    bordered[N + r, N + i] = carried[above - level - 1][q]
+    return (-1) ** k * float(np.linalg.det(bordered)) / _gram_det(bases)
 
 
 def correlation(Kc: BlockKernel, points) -> float:
@@ -215,13 +201,13 @@ class CountDistribution:
         return self.probabilities.get(tuple(int(c) for c in counts), 0.0)
 
 
-def count_degrees(rank: int | None, sizes, max_count: int | None = None) -> list[int]:
+def count_degrees(rank: int, sizes, max_count: int | None = None) -> list[int]:
     """Per level, the count table's degree d_j = min(N, |S_j|), |S_j| = ``sizes[j]``.
 
-    |S_j| alone when the rank N is None. ``max_count`` raises d_j to
-    min(max_count, |S_j|); below d_j it would alias, and raises ValueError.
+    ``max_count`` raises d_j to min(max_count, |S_j|); below d_j it would
+    alias, and raises ValueError.
     """
-    degrees = list(sizes) if rank is None else [min(rank, s) for s in sizes]
+    degrees = [min(rank, s) for s in sizes]
     for level, d in enumerate(degrees, start=1):
         if max_count is not None and max_count < d:
             raise ValueError(f"max_count {max_count} is below {d}, the largest "
@@ -242,24 +228,29 @@ def gap_generating_function(Kc: BlockKernel, intervals, max_count: int | None = 
     With per-level indicators chi_j, det(1 - Kc o ((1 - xi_j) chi_j)) is the
     generating polynomial sum_k P(counts = k) prod_j xi_j^{k_j}. Its degree
     in xi_j is at most d_j = min(N, |S_j|), with S_j the level-j nodes inside
-    the intervals (|S_j| alone when the rank N is unknown). It is evaluated
-    with each xi_j at the (d_j + 1)-th roots of unity by ``fredholm_det``'s
-    route, with D_xi = D diag(1 - xi_j on the level-j nodes of S): one
-    forward substitution over all T = prod (d_j + 1) root tuples at once and
-    one batched N x N determinant. The inverse DFT recovers the
-    probabilities. ``max_count`` raises d_j up to |S_j| (see ``count_degrees``).
+    the intervals. It is evaluated with each xi_j at the (d_j + 1)-th roots
+    of unity by ``fredholm_det``'s route, at the complex masses
+    nu_xi = mu (1 - u - (1 - xi_j) chi_j): one walk for all T = prod (d_j + 1)
+    root tuples at once and one batched N x N determinant, divided by its
+    entry at xi = 1, the tuple whose masses are the bases' own. The inverse
+    DFT recovers the probabilities. ``max_count`` raises d_j up to |S_j| (see
+    ``count_degrees``).
     """
+    tables, bases = _dualization(Kc)
     chi = indicators(Kc.grids, intervals)
-    on = _support(Kc, WeightSet(tuple(chi)))
     shape = tuple(k + 1 for k in count_degrees(Kc.rank, [int(c.sum()) for c in chi],
                                                max_count))
-    # xi_j at every root tuple, one row per level
+    # xi_j at every root tuple, one row per level; the first tuple is xi = 1
     xi = np.exp(2j * np.pi * np.indices(shape).reshape(len(shape), -1)
                 / np.array(shape)[:, None])
-    level = np.searchsorted(Kc.offsets, on.S, side="right") - 1
-    batch = on._replace(d=on.d[:, None] * (1.0 - xi[level]))
-    X = batch.forward(np.repeat(on.psi_t[:, None].astype(complex), xi.shape[1], axis=1))
-    coeffs = np.linalg.det(_w_pairing(batch, X)).reshape(shape)
+    N, T = bases.N, xi.shape[1]
+    # the tuples folded into the rows: T N rows of psi^(1), each walked with
+    # its tuple's masses, so that each level takes one matrix product
+    nu = [np.repeat(g.weights * (1.0 - u - (1.0 - x[:, None]) * c), N, axis=0)
+          for g, u, x, c in zip(Kc.grids, bases.weight_set.w, xi, chi)]
+    top = walk(tables, nu, np.tile(bases.psi[0], (T, 1)), 1, upward=True)[-1]
+    values = np.linalg.det(((top * nu[-1]) @ bases.phi[-1].T).reshape(T, N, N))
+    coeffs = (values / values[0]).reshape(shape)
     # the inverse DFT, a product with the (d_j + 1)-square DFT matrix along
     # each axis: the lengths are small, and loading numpy.fft for them would
     # add about half a megabyte of resident memory to every process

@@ -19,7 +19,7 @@ kernel K - g whose Fredholm theory carries all the statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,46 +33,43 @@ from .biortho import (
 )
 from .chain import ChainTables, WeightSet, check_weights
 from .errors import ShapeError, StateError
-from .measure import Grid
 
 
-@dataclass(frozen=True)
 class BlockKernel:
     """Kernel values on the direct sum of the level grids.
 
     ``matrix`` is the read-only (sum n_j) x (sum n_j) array; ``offsets``
     (derived from the grids) delimit the levels. ``checked`` records whether
     the transfer part has been subtracted; ``rank`` carries N for
-    projection-type kernels and is None otherwise. ``factors`` holds the
-    N x (sum n_j) rows (Psi, Phi) with K = Psi^T Phi, and ``transfer`` the
-    matrix of the strictly block-lower g a checked kernel Psi^T Phi - g
-    subtracted; both are None for a kernel of unknown structure. The arrays
-    are frozen in place, not copied: every constructor passes arrays it has
-    just built or that another kernel holds.
+    projection-type kernels and is None otherwise. A given array is frozen
+    in place, not copied. ``build_K``, ``build_g`` and ``check_kernel`` give
+    a zero-argument function instead, and the kernel calls it on the first
+    read of ``matrix``; their kernels also keep what they were built from,
+    and a checked kernel keeps the chain tables and the dual bases the
+    Fredholm quantities are walked from (see ``check_kernel``).
     """
 
-    matrix: np.ndarray
-    grids: tuple[Grid, ...]
-    checked: bool
-    rank: int | None = None
-    factors: tuple[np.ndarray, np.ndarray] | None = None
-    transfer: np.ndarray | None = None
-    offsets: tuple[int, ...] = field(init=False)
+    def __init__(self, matrix, grids, checked: bool, rank: int | None = None):
+        self.grids = tuple(grids)
+        self.offsets = tuple(np.cumsum([0] + [g.size for g in self.grids]).tolist())
+        self.checked, self.rank = checked, rank
+        self._tables = self._bases = self._weights = None
+        self._form = matrix if callable(matrix) else None
+        self._matrix = None if callable(matrix) else self._frozen(matrix)
 
-    def __post_init__(self):
-        grids = tuple(self.grids)
-        object.__setattr__(self, "grids", grids)
-        offsets = tuple(np.cumsum([0] + [g.size for g in grids]).tolist())
-        object.__setattr__(self, "offsets", offsets)
-        arr = np.asarray(self.matrix, dtype=float)
+    def _frozen(self, matrix) -> np.ndarray:
+        arr = np.asarray(matrix, dtype=float)
         arr.setflags(write=False)
-        if arr.shape != (offsets[-1], offsets[-1]):
+        if arr.shape != (self.offsets[-1],) * 2:
             raise ShapeError(f"kernel matrix has shape {arr.shape}, expected "
-                             f"{(offsets[-1], offsets[-1])} for the level grids")
-        object.__setattr__(self, "matrix", arr)
-        for part in (*(self.factors or ()), self.transfer):
-            if part is not None:
-                part.setflags(write=False)
+                             f"{(self.offsets[-1],) * 2} for the level grids")
+        return arr
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._form is not None:
+            self._matrix, self._form = self._frozen(self._form()), None
+        return self._matrix
 
     @property
     def m(self) -> int:
@@ -88,13 +85,12 @@ class BlockKernel:
 
 
 def build_K(bases: DualBases) -> BlockKernel:
-    """Projection-type kernel from dual bases: block (i, j) = psi_i^T phi_j.
-
-    The stacked rows (Psi, Phi) ride along as the kernel's ``factors``.
-    """
-    psi, phi = np.hstack(bases.psi), np.hstack(bases.phi)
-    return BlockKernel(matrix=psi.T @ phi, grids=bases.grids, checked=False, rank=bases.N,
-                       factors=(psi, phi))
+    """Projection-type kernel from dual bases: block (i, j) = psi_i^T phi_j."""
+    def form():
+        return np.hstack(bases.psi).T @ np.hstack(bases.phi)
+    K = BlockKernel(matrix=form, grids=bases.grids, checked=False, rank=bases.N)
+    K._bases = bases
+    return K
 
 
 def build_g(tables: ChainTables, weights: WeightSet) -> BlockKernel:
@@ -107,39 +103,48 @@ def build_g(tables: ChainTables, weights: WeightSet) -> BlockKernel:
     e = mu (1 - w), starting from the stored transfer table g_j.
     """
     e = dual_masses(tables, weights)
-    o = np.cumsum([0] + [g.size for g in tables.grids])
-    matrix = np.zeros((o[-1], o[-1]))
-    for j in range(1, tables.m):
-        column = walk(tables, e, tables.g_values[j - 1].T, j + 1, upward=True)
-        matrix[o[j]:, o[j - 1]:o[j]] = np.hstack(column).T
-    return BlockKernel(matrix=matrix, grids=tables.grids, checked=True, rank=None)
+
+    def form():
+        o = np.cumsum([0] + [g.size for g in tables.grids])
+        matrix = np.zeros((o[-1], o[-1]))
+        for j in range(1, tables.m):
+            column = walk(tables, e, tables.g_values[j - 1].T, j + 1, upward=True)
+            matrix[o[j]:, o[j - 1]:o[j]] = np.hstack(column).T
+        return matrix
+    g = BlockKernel(matrix=form, grids=tables.grids, checked=True, rank=None)
+    g._tables, g._weights = tables, weights
+    return g
 
 
 def check_kernel(K: BlockKernel, g: BlockKernel) -> BlockKernel:
     """Subtract the transfer part, K - g, marking the result checked.
 
-    The result keeps K's factors and refers to g's matrix as its
-    ``transfer`` when g is strictly block-lower, as ``build_g``'s is; with
-    any other g it carries no structure.
+    When K is ``build_K``'s kernel of dual bases and g is ``build_g``'s of a
+    chain at the bases' own weights, the result keeps the chain tables and
+    the bases: the Fredholm quantities are walked from them, and only a read
+    of ``matrix`` forms K - g. Any other pair gives a kernel without that
+    structure, which the Fredholm quantities refuse.
     """
     if K.checked:
         raise StateError("transfer part already subtracted from this kernel")
     if K.m != g.m:
         raise ShapeError("kernel and transfer block counts differ")
-    o = g.offsets
-    lower = K.factors is not None and not any(
-        g.matrix[o[i]:o[i + 1], o[i]:].any() for i in range(g.m))
-    return BlockKernel(matrix=K.matrix - g.matrix, grids=K.grids, checked=True,
-                       rank=K.rank, factors=K.factors if lower else None,
-                       transfer=g.matrix if lower else None)
+    Kc = BlockKernel(matrix=lambda: K.matrix - g.matrix, grids=K.grids, checked=True,
+                     rank=K.rank)
+    if (K._bases is not None and g._tables is not None and _same_grids(K, g)
+            and all(np.array_equal(u, w) for u, w in zip(K._bases.weight_set.w,
+                                                          g._weights.w))):
+        Kc._tables, Kc._bases = g._tables, K._bases
+    return Kc
 
 
 @dataclass(frozen=True)
 class Dualization:
     """The dual bases, K and g of one chain against one weight set.
 
-    The checked kernel K - g is formed anew on each access of ``Kc`` and not
-    stored, so a caller holds it only while it needs it.
+    K and g form their matrices only when read. The checked kernel K - g is
+    made anew on each access of ``Kc`` and not stored, so a caller holds its
+    matrix only while it needs it.
     """
 
     bases: DualBases
@@ -152,7 +157,8 @@ class Dualization:
 
 
 def dualize(tables: ChainTables, weights: WeightSet) -> Dualization:
-    """Dualize the chain against ``weights``, building each part once."""
+    """Dualize the chain against ``weights``: one ``dual_bases``; K and g are
+    formed on their first read."""
     bases = dual_bases(tables, weights)
     return Dualization(bases=bases, K=build_K(bases), g=build_g(tables, weights))
 

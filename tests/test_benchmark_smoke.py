@@ -18,13 +18,18 @@ SEED = 1
 
 workloads, checks, replay = map(perfbench_module, ("workloads", "checks", "replay"))
 
+CASES = [
+    ("gl_chain", SEED, 1), ("discrete_verify", SEED, 1), ("discrete_verify", SEED, 2),
+    ("discrete_verify", SEED, 3), ("mcmc", SEED, 1),
+    # cond A^w 1.25e8: oracle's gap row once read 2.88e-10 off enumeration
+    ("discrete_verify", 4, 1816),
+]
 
-@pytest.mark.parametrize("workload, cycle", [
-    ("gl_chain", 1), ("discrete_verify", 1), ("discrete_verify", 2),
-    ("discrete_verify", 3), ("mcmc", 1),
-])
-def test_workload_cycle_passes_checks_and_replays(tmp_path, workload, cycle):
-    config = workloads.WORKLOADS[workload](SEED, tmp_path).config_for(cycle)
+
+@pytest.mark.parametrize("workload, seed, cycle", CASES, ids=[
+    f"{w}-{c}" if s == SEED else f"{w}-seed{s}-{c}" for w, s, c in CASES])
+def test_workload_cycle_passes_checks_and_replays(tmp_path, workload, seed, cycle):
+    config = workloads.WORKLOADS[workload](seed, tmp_path).config_for(cycle)
     out_csv = tmp_path / "out.csv"
     refs = checks.References()
     inst = cli.load_instance(config)

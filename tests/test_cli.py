@@ -9,7 +9,7 @@ import detchain
 from detchain.cli import main, parse_instance
 from detchain.instances import monomial_discrete_config, random_discrete_instance
 
-from .conftest import CONFIG_DIR, REPO_ROOT, soft_m2n2, zero_gap_m2n2
+from .conftest import CONFIG_DIR, REPO_ROOT, perfbench_module, soft_m2n2, zero_gap_m2n2
 
 
 def run(args):
@@ -467,6 +467,27 @@ def test_other_commands_build_one_plain_dualization(tmp_path, monkeypatch, capsy
     counts = count_builders(monkeypatch)
     assert run([command, "--config", path]) == 0
     assert counts == dict.fromkeys(BUILDERS, 1)
+
+
+def test_no_command_but_check_forms_a_dense_kernel(tmp_path, monkeypatch, capsys):
+    """No command but check reads a kernel's (sum n)^2 matrix, so none forms
+    one: on a gl_chain config, and on a discrete one with a sampler."""
+    read = []
+    matrix = detchain.BlockKernel.matrix
+    monkeypatch.setattr(detchain.BlockKernel, "matrix",
+                        property(lambda kernel: read.append(kernel) or matrix.fget(kernel)))
+    gl = perfbench_module("workloads").WORKLOADS["gl_chain"](1, tmp_path).config_for(0)
+    cfg = json.loads(config_path("discrete_m3n2").read_text())
+    cfg["task"]["sampler"] = {"steps": 200, "burn_in": 20, "seed": 3}
+    discrete = tmp_path / "m3n2.json"
+    discrete.write_text(json.dumps(cfg))
+    for command in ("gap", "janossy", "correlate", "counts"):
+        assert run([command, "--config", gl]) == 0
+    for command in ("gap", "janossy", "correlate", "counts", "sample", "oracle"):
+        assert run([command, "--config", discrete]) == 0
+    assert read == []
+    assert run(["check", "--config", discrete]) == 0
+    assert read
 
 
 def test_readme_library_sketch_runs(capsys):

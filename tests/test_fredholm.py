@@ -23,6 +23,7 @@ from detchain import (
     gap_generating_function,
     janossy,
     make_discrete_grid,
+    oracle_gap,
     oracle_janossy,
     pairing_matrix,
     resolvent,
@@ -31,9 +32,9 @@ from detchain import (
 from detchain.chain import indicators
 from detchain.fredholm import (
     _identity_products,
-    _support,
+    _masses,
+    _pairing,
     _transfer_resolvent_rows,
-    _w_pairing,
     theorem2_residuals_of,
     transfer_resolvent_residual,
 )
@@ -68,31 +69,54 @@ def test_det_vanishes_when_projection_fills_space():
     assert abs(det) < 1e-12
 
 
-@pytest.mark.parametrize("operation", [
-    lambda K, w: fredholm_det(K, w),
-    lambda K, w: resolvent(K, w),
-    lambda K, w: janossy(K, w, [[0]]),
-    lambda K, w: gap_generating_function(K, [[(-1.0, 1.0)]]),
+def without_structure(kernel):
+    """The same values as a kernel that keeps no dualization."""
+    return BlockKernel(matrix=kernel.matrix, grids=kernel.grids, checked=kernel.checked,
+                       rank=kernel.rank)
+
+
+@pytest.mark.parametrize("operation, walked", [
+    (lambda K, w: fredholm_det(K, w), True),
+    (lambda K, w: resolvent(K, w), False),
+    (lambda K, w: janossy(K, w, [[0]]), True),
+    (lambda K, w: gap_generating_function(K, [[(-1.0, 1.0)]]), True),
 ], ids=["fredholm_det", "resolvent", "janossy", "gap_generating_function"])
-def test_det_requires_checked_kernel(operation):
+def test_det_requires_checked_kernel(operation, walked):
+    """An unchecked kernel is refused. So is, by every walked quantity, a
+    checked kernel that keeps no dualization, although the dense reference
+    reads the same gap from its matrix; the resolvent takes it."""
     tables = two_point_chain()
-    bases = dual_bases(tables, WeightSet.zeros(tables.grids))
-    K = build_K(bases)
+    zeros = WeightSet.zeros(tables.grids)
+    K = build_K(dual_bases(tables, zeros))
     with pytest.raises(StateError):
-        operation(K, WeightSet.zeros(tables.grids))
+        operation(K, zeros)
+    Kc = check_kernel(K, build_g(tables, zeros))
+    bare = without_structure(Kc)
+    assert abs(dense_reference(bare, zeros)[0] - fredholm_det(Kc, zeros)) <= 1e-13
+    if walked:
+        with pytest.raises(StateError, match="keeps its dualization"):
+            operation(bare, zeros)
+    else:
+        assert np.array_equal(operation(bare, zeros).matrix, operation(Kc, zeros).matrix)
 
 
 def test_det_of_transfer_kernel_is_one():
-    # strictly lower block triangular => unipotent
+    # strictly lower block triangular => unipotent; the route refuses build_g's
+    # kernel, which keeps no dual bases, so the dense reference judges it
     tables, ws = random_discrete_instance(2, m=3, N=2)
     g = build_g(tables, ws)
-    assert abs(fredholm_det(g, ws) - 1.0) < 1e-12
+    with pytest.raises(StateError):
+        fredholm_det(g, ws)
+    assert abs(dense_reference(g, ws)[0] - 1.0) < 1e-12
     # so its count generating function is the constant 1; with the rank
     # unknown, each level's degree bound is its node count
-    dist = gap_generating_function(g, [[(-3.0, 3.0)]] * tables.m)
-    assert len(dist.probabilities) == np.prod([grid.size + 1 for grid in tables.grids])
-    assert abs(dist.probability((0,) * tables.m) - 1.0) < 1e-12
-    assert max(abs(p) for k, p in dist.probabilities.items() if any(k)) < 1e-12
+    intervals = [[(-3.0, 3.0)]] * tables.m
+    with pytest.raises(StateError):
+        gap_generating_function(g, intervals)
+    table = dense_counts(g, intervals, tuple(grid.size + 1 for grid in tables.grids))
+    assert abs(table[(0,) * tables.m] - 1.0) < 1e-12
+    table[(0,) * tables.m] = 0.0
+    assert np.max(np.abs(table)) < 1e-12
 
 
 def test_resolvent_zero_weights_is_zero():
@@ -338,6 +362,8 @@ def reference_cases():
 
 
 def test_support_restriction_matches_dense_formulas():
+    """The walked gap and Janossy density, and the resolvent's LU on S, match
+    det(1 - M) and (1 - M)^{-1} Kc on the full (sum n)^2 matrix."""
     count = 0
     for tables, ws in reference_cases():
         _, Kc = checked_kernel(tables)
@@ -476,24 +502,26 @@ def dense_counts(Kc, intervals, shape):
 
 def one_route_cases(tmp_path):
     """(Kc, weights, intervals, max_counts) for structured_cases() with every
-    node inside the count intervals, gl_chain seed 1 config 0 with its own,
-    and three kernels without factors: build_g's, K less a g that is not
-    strictly block-lower, and a 1 x 1 matrix."""
+    node inside the count intervals, and gl_chain seed 1 config 0 with its own."""
     for tables, ws in structured_cases():
         everything = [[(float(g.nodes[0]) - 1.0, float(g.nodes[-1]))] for g in tables.grids]
         yield checked_kernel(tables)[1], ws, everything, (None, 3)
     inst = workload_instances("gl_chain", 1, [0], tmp_path)[0]
     yield checked_kernel(inst.tables)[1], inst.weights, inst.weight_intervals, (None,)
+
+
+def kernels_without_structure():
+    """(Kc, weights, intervals): build_g's kernel, K less a g that is not
+    strictly block-lower, and a 1 x 1 matrix."""
     tables, ws = random_discrete_instance(2, m=3, N=2)
-    yield build_g(tables, ws), ws, None, ()
+    yield build_g(tables, ws), ws, [[(-3.0, 3.0)]] * tables.m
     g = build_g(tables, WeightSet.zeros(tables.grids))
     full = BlockKernel(matrix=g.matrix + 0.01, grids=g.grids, checked=True)
-    Kc = check_kernel(build_K(dual_bases(tables, WeightSet.zeros(tables.grids))), full)
-    assert Kc.factors is None and Kc.transfer is None
-    yield Kc, ws, None, ()
+    yield (check_kernel(build_K(dual_bases(tables, WeightSet.zeros(tables.grids))), full),
+           ws, [[(-3.0, 3.0)]] * tables.m)
     grid = make_discrete_grid([0.0], [0.8])
     yield (BlockKernel(matrix=np.array([[0.7]]), grids=(grid,), checked=True, rank=1),
-           WeightSet.ones([grid]), [[(-1.0, 1.0)]], (None, 3))
+           WeightSet.ones([grid]), [[(-1.0, 1.0)]])
 
 
 def points_around(Kc, ws, rank):
@@ -506,18 +534,17 @@ def points_around(Kc, ws, rank):
 
 
 def test_one_route_matches_dense_reference(tmp_path):
-    """fredholm_det, resolvent, janossy and correlation from the structure
-    (or, for kernels without factors, from Psi_S = I, Phi_S = Kc_SS and
-    g = 0) agree with the dense (sum n)^2 formulas, and the count table with
-    one dense determinant per root tuple."""
-    kinds = set()
+    """fredholm_det, resolvent, janossy and correlation, walked from the
+    kernel's dualization, agree with the dense (sum n)^2 formulas, and the
+    count table with one dense determinant per root tuple. A kernel that
+    keeps no dualization is refused by all but the resolvent, which still
+    matches the dense formula on it."""
     for Kc, ws, intervals, max_counts in one_route_cases(tmp_path):
-        kinds.add(Kc.factors is not None)
         det_ref, R_ref = dense_reference(Kc, ws)
         scale = max(1.0, float(np.max(np.abs(R_ref))))
         assert abs(fredholm_det(Kc, ws) - det_ref) <= 1e-13 * max(1.0, abs(det_ref))
         assert np.max(np.abs(resolvent(Kc, ws).matrix - R_ref)) <= 1e-13 * scale
-        points = points_around(Kc, ws, Kc.rank or 1)
+        points = points_around(Kc, ws, Kc.rank)
         idx = [Kc.offsets[j] + p for j, pts in enumerate(points) for p in pts]
         ref = det_ref * np.linalg.det(R_ref[np.ix_(idx, idx)])
         assert abs(janossy(Kc, ws, points) - ref) <= 1e-13 * scale * max(1.0, abs(ref))
@@ -529,31 +556,85 @@ def test_one_route_matches_dense_reference(tmp_path):
             table = dense_counts(Kc, intervals, shape)
             worst = max(abs(p - table[k]) for k, p in dist.probabilities.items())
             assert worst <= 1e-13 * max(1.0, float(np.max(np.abs(table))))
-    assert kinds == {True, False}
+    for Kc, ws, intervals in kernels_without_structure():
+        det_ref, R_ref = dense_reference(Kc, ws)
+        scale = max(1.0, float(np.max(np.abs(R_ref))))
+        assert np.max(np.abs(resolvent(Kc, ws).matrix - R_ref)) <= 1e-13 * scale
+        points = points_around(Kc, ws, Kc.rank or 1)
+        for refused in (lambda: fredholm_det(Kc, ws), lambda: janossy(Kc, ws, points),
+                        lambda: correlation(Kc, points),
+                        lambda: gap_generating_function(Kc, intervals)):
+            with pytest.raises(StateError, match="keeps its dualization"):
+                refused()
+
+
+def test_kernel_dualized_at_w_walks_with_its_own_masses():
+    """A kernel dualized at u is walked with mu (1 - u - v) for weights v:
+    fredholm_det, janossy and correlation agree with the dense formulas on
+    its matrix, to the bounds of test_one_route_matches_dense_reference."""
+    rng = np.random.default_rng(9)
+    for tables, ws in structured_cases():
+        Kc = dualize(tables, ws).Kc
+        v = WeightSet(tuple(rng.random(w.size) * (1.0 - w) for w in ws.w))
+        det_ref, R_ref = dense_reference(Kc, v)
+        scale = max(1.0, float(np.max(np.abs(R_ref))))
+        assert abs(fredholm_det(Kc, v) - det_ref) <= 1e-13 * max(1.0, abs(det_ref))
+        points = points_around(Kc, v, Kc.rank)
+        idx = [Kc.offsets[j] + p for j, pts in enumerate(points) for p in pts]
+        ref = det_ref * np.linalg.det(R_ref[np.ix_(idx, idx)])
+        assert abs(janossy(Kc, v, points) - ref) <= 1e-13 * scale * max(1.0, abs(ref))
+        ref = np.linalg.det(Kc.matrix[np.ix_(idx, idx)])
+        assert abs(correlation(Kc, points) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_w_pairing_is_the_plain_dual_pairing(tmp_path):
-    """I - Phi_S D X is the w-pairing of the plain dual bases, ((PL)^{-1} A^w
-    U^{-1})^T from the plain record's PLU, and its determinant is
-    det A^w / det A^0; both to N cond(A^w) eps relative."""
+    """P, psi^(1) walked up with mu (1 - w) and paired with phi^(m), is the
+    w-pairing of the plain dual bases, (PL)^{-1} A^w U^{-1} from the plain
+    record's PLU, and its determinant is det A^w / det A^0; both to
+    N cond(A^w) eps relative."""
     instances = workload_instances("discrete_verify", 401, range(1, 61), tmp_path)
     instances += workload_instances("gl_chain", 1, range(3), tmp_path)
     eps = np.finfo(float).eps
     for inst in instances:
-        plain = dualize(inst.tables, WeightSet.zeros(inst.tables.grids))
-        on = _support(plain.Kc, inst.weights)
-        pairing = _w_pairing(on, on.forward(on.psi_t.copy()))
-        dec = plain.bases.decomposition
+        bases = dual_bases(inst.tables, WeightSet.zeros(inst.tables.grids))
+        _, pairing = _pairing(inst.tables, bases, _masses(bases, inst.weights))
+        dec = bases.decomposition
         A = pairing_matrix(inst.tables, inst.weights)
         dual = np.linalg.solve(dec.L, A[dec.permutation]) @ np.linalg.inv(dec.U)
         bound = inst.tables.N * np.linalg.cond(A) * eps
-        assert np.max(np.abs(pairing - dual.T)) <= bound * np.max(np.abs(dual))
+        assert np.max(np.abs(pairing - dual)) <= bound * np.max(np.abs(dual))
         ratio = np.linalg.det(A) / np.linalg.det(dec.A)
         assert abs(np.linalg.det(pairing) - ratio) <= bound * abs(ratio)
 
 
+def small_gap_chains():
+    """monomial_discrete_config(seed, m, 2, (7,) * m, coupling=1.0) for seeds
+    1-20 and m = 2, 3, with w = 1 except on nodes 5 and 6 of each level: the
+    gap is the probability that every point sits on those two nodes."""
+    for seed in range(1, 21):
+        for m in (2, 3):
+            raw = monomial_discrete_config(seed, m, 2, (7,) * m, coupling=1.0)
+            raw["weights"] = {"vectors": [[1.0] * 5 + [0.0, 0.0]] * m}
+            yield parse_instance(raw)
+
+
+def test_small_gaps_are_accurate_in_relative_terms():
+    """fredholm_det is within N cond(P) eps relative of the enumerated gap,
+    the first-order bound of docs/conventions.md, on gaps down to 5e-13."""
+    eps = np.finfo(float).eps
+    smallest = 1.0
+    for inst in small_gap_chains():
+        bases, Kc = checked_kernel(inst.tables)
+        _, P = _pairing(inst.tables, bases, _masses(bases, inst.weights))
+        ref = oracle_gap(enumerate_configurations(inst.tables, bases=bases), inst.weights)
+        bound = inst.tables.N * np.linalg.cond(P) * eps
+        assert abs(fredholm_det(Kc, inst.weights) - ref) <= bound * ref
+        smallest = min(smallest, ref)
+    assert smallest < 1e-12
+
+
 def test_structured_kernels_factor_nothing_larger_than_n_plus_points(tmp_path, monkeypatch):
-    """On a kernel that carries its factors, every matrix fredholm_det, janossy
+    """On a kernel that keeps its dualization, every matrix fredholm_det, janossy
     and gap_generating_function factor is at most N + k square, k the number
     of points, while S holds hundreds of nodes."""
     inst = workload_instances("gl_chain", 1, [0], tmp_path)[0]
