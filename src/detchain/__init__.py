@@ -34,7 +34,6 @@ from .errors import (
     InvalidWeight,
     NotAProbability,
     OverlapError,
-    ResolventSingular,
     ShapeError,
     SignedDensityError,
     SingularPairing,
@@ -95,7 +94,6 @@ __all__ = [
     "NotAProbability",
     "OverlapError",
     "PairingDecomposition",
-    "ResolventSingular",
     "SamplerConfig",
     "ShapeError",
     "SignedDensityError",

@@ -7,8 +7,8 @@ carries the instance digest and the tolerance applied to it; identical
 config, flags, and seed produce byte-identical output files.
 
 Exit codes: 0 all requested tolerances met, 1 a tolerance failed, 2 config
-parse/validation error, 3 numerical failure (singular pairing, vanishing
-determinant, ...).
+parse/validation error, 3 numerical failure (singular pairing, inconsistent
+tabulation, ...).
 """
 
 from __future__ import annotations
@@ -53,7 +53,13 @@ from .fredholm import (
     theorem2_residuals_of,
     transfer_resolvent_residual,
 )
-from .kernels import Dualization, dualize, factorization_residual, kernel_via_inverse
+from .kernels import (
+    Dualization,
+    _max_abs_diff,
+    dualize,
+    factorization_residual,
+    kernel_via_inverse,
+)
 from .measure import make_discrete_grid, make_gauss_legendre_grid
 from .oracle import (
     enumerate_configurations,
@@ -385,8 +391,7 @@ def cmd_check(inst: InstanceConfig, plain: Dualization, args):
         rows.append((f"pairing_expressions_{label}", d.bases.expression_gap,
                      1e-11 * scale_a))
 
-    diff = float(np.max(np.abs(dual.K.matrix
-                               - kernel_via_inverse(tables, weights).matrix)))
+    diff = _max_abs_diff(dual.K.matrix, kernel_via_inverse(tables, weights).matrix)
     rows.append(("construction_invariance", diff, 1e-12 * max(1.0, dual.K.max_abs())))
 
     for label, d, ws in (("plain", plain, zeros), ("dual", dual, weights)):

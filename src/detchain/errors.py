@@ -47,10 +47,6 @@ class StateError(DetchainError):
     """Kernel used in a state it is not in (e.g. transfer part already subtracted)."""
 
 
-class ResolventSingular(DetchainError):
-    """Fredholm determinant vanishes; the resolvent does not exist."""
-
-
 class NotAProbability(DetchainError):
     """Total configuration mass is nonpositive or non-finite."""
 

@@ -22,9 +22,10 @@ For u = 0 and w in [0, 1] every mass is >= 0 and nothing cancels. The
 Janossy density at k points borders P^T with the walked bases and the
 nu-weighted transfers at the points, one (N + k)-square determinant; the
 count distribution is the gap at the complex weights (1 - xi_j) chi_j for
-all root tuples xi in one batch. A kernel without that structure is refused.
-Only the resolvent, whose (sum n_j)^2 output already costs O((sum n_j)^2
-|S|), solves on S = supp(mu w) with the kernel's matrix.
+all root tuples xi in one batch; the resolvent is the checked kernel
+dualized at nu, a^T P^{-T} b less the transfers at nu, formed when read. A
+kernel without that structure is refused; the resolvent also refuses a
+singular P.
 
 The central identity states that the resolvent of the checked kernel
 equals the checked kernel of the (1 - w)-dualized construction, composed
@@ -42,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biortho import DualBases, dual_masses, walk
+from .biortho import DualBases, check_conditioning, dual_masses, walk
 from .chain import ChainTables, WeightSet, check_weights, indicators, point_lists
-from .errors import ResolventSingular, StateError
+from .errors import StateError
 from .kernels import (
     BlockKernel,
     Dualization,
@@ -52,10 +53,9 @@ from .kernels import (
     _measure_weights,
     _support_columns,
     build_g,
+    check_kernel,
     dualize,
 )
-
-_RESOLVENT_DET_FLOOR = 1e-12
 
 
 def _one_minus(M: np.ndarray) -> np.ndarray:
@@ -65,14 +65,10 @@ def _one_minus(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_checked(kernel: BlockKernel) -> None:
-    if not kernel.checked:
-        raise StateError("operation requires a checked kernel (transfer part subtracted)")
-
-
 def _dualization(Kc: BlockKernel) -> tuple[ChainTables, DualBases]:
     """The chain tables and dual bases a checked kernel was dualized from."""
-    _require_checked(Kc)
+    if not Kc.checked:
+        raise StateError("operation requires a checked kernel (transfer part subtracted)")
     if Kc._bases is None:
         raise StateError("operation requires a checked kernel that keeps its "
                          "dualization: check_kernel(build_K(bases), build_g(tables, "
@@ -119,23 +115,25 @@ def resolvent(Kc: BlockKernel, weights: WeightSet) -> BlockKernel:
 
     Returns (1 - M)^{-1} Kc with M the weighted kernel matrix, which is
     (1 - M)^{-1} M with the right diag(mu w) factor stripped; right-composing
-    the result with w reproduces the resolvent operator exactly. It is formed
-    on the support S of mu w as Kc + M[:, S] (1 - M_SS)^{-1} Kc[S, :], with
-    an LU of 1 - M_SS, for a checked kernel of any structure. A determinant
-    det(1 - M_SS) below 1e-12 max(1, max|M|) is refused as vanishing.
+    the result with w reproduces the resolvent operator exactly. By the
+    theorem it is the checked kernel dualized at the masses nu, the kernel
+    whose k-point Schur complement ``janossy`` takes: a(x)^T P^{-T} b(y) -
+    G(x, y), with psi^(1) walked up and phi^(m) walked down on every level
+    and G the transfers at nu. Its matrix is formed on the first read. A P
+    with condition number 1e12 or more is refused by SingularPairing. With w
+    = 0 on every node the resolvent is Kc itself, which is returned.
     """
-    _require_checked(Kc)
-    S, M_S = _support_columns(Kc, weights)
-    one_minus = _one_minus(M_S[S])
-    det = np.linalg.det(one_minus)
-    floor = _RESOLVENT_DET_FLOOR * max(1.0, M_S.max(initial=0.0), -M_S.min(initial=0.0))
-    if abs(det) <= floor:
-        raise ResolventSingular(
-            f"Fredholm determinant {det:.3e} vanishes: |det| <= {floor:.3e}, the floor "
-            "1e-12 max(1, max|M|); no resolvent"
-        )
-    matrix = Kc.matrix + M_S @ np.linalg.solve(one_minus, Kc.matrix[S])
-    return BlockKernel(matrix=matrix, grids=Kc.grids, checked=True, rank=Kc.rank)
+    tables, bases = _dualization(Kc)
+    nu = _masses(bases, weights)
+    if not any(np.any(w) for w in weights.w):
+        return Kc
+    up, P = _pairing(tables, bases, nu)
+    check_conditioning(P)
+    down = walk(tables, nu, bases.phi[-1], tables.m, upward=False)
+    K = BlockKernel(matrix=lambda: np.hstack(up).T @ np.linalg.solve(P.T, np.hstack(down)),
+                    grids=Kc.grids, checked=False, rank=Kc.rank)
+    u_plus_w = WeightSet(tuple(u + w for u, w in zip(bases.weight_set.w, weights.w)))
+    return check_kernel(K, build_g(tables, u_plus_w))
 
 
 def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:

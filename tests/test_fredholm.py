@@ -5,8 +5,8 @@ import pytest
 
 from detchain import (
     BlockKernel,
-    ResolventSingular,
     ShapeError,
+    SingularPairing,
     StateError,
     WeightSet,
     build_K,
@@ -19,6 +19,7 @@ from detchain import (
     enumerate_configurations,
     factorization_residual,
     fredholm_det,
+    from_tables,
     g_resolvent_residual,
     gap_generating_function,
     janossy,
@@ -43,6 +44,7 @@ from detchain.cli import parse_instance
 
 from .conftest import two_point_chain, workload_instances, zero_gap_m2n2
 from .density_forms import joint_density
+from .exact_resolvent import exact_resolvent
 
 
 def checked_kernel(tables):
@@ -75,16 +77,16 @@ def without_structure(kernel):
                        rank=kernel.rank)
 
 
-@pytest.mark.parametrize("operation, walked", [
-    (lambda K, w: fredholm_det(K, w), True),
-    (lambda K, w: resolvent(K, w), False),
-    (lambda K, w: janossy(K, w, [[0]]), True),
-    (lambda K, w: gap_generating_function(K, [[(-1.0, 1.0)]]), True),
+@pytest.mark.parametrize("operation", [
+    lambda K, w: fredholm_det(K, w),
+    lambda K, w: resolvent(K, w),
+    lambda K, w: janossy(K, w, [[0]]),
+    lambda K, w: gap_generating_function(K, [[(-1.0, 1.0)]]),
 ], ids=["fredholm_det", "resolvent", "janossy", "gap_generating_function"])
-def test_det_requires_checked_kernel(operation, walked):
-    """An unchecked kernel is refused. So is, by every walked quantity, a
-    checked kernel that keeps no dualization, although the dense reference
-    reads the same gap from its matrix; the resolvent takes it."""
+def test_det_requires_checked_kernel(operation):
+    """An unchecked kernel is refused. So is a checked kernel that keeps no
+    dualization, although the dense reference reads the same gap from its
+    matrix."""
     tables = two_point_chain()
     zeros = WeightSet.zeros(tables.grids)
     K = build_K(dual_bases(tables, zeros))
@@ -93,11 +95,8 @@ def test_det_requires_checked_kernel(operation, walked):
     Kc = check_kernel(K, build_g(tables, zeros))
     bare = without_structure(Kc)
     assert abs(dense_reference(bare, zeros)[0] - fredholm_det(Kc, zeros)) <= 1e-13
-    if walked:
-        with pytest.raises(StateError, match="keeps its dualization"):
-            operation(bare, zeros)
-    else:
-        assert np.array_equal(operation(bare, zeros).matrix, operation(Kc, zeros).matrix)
+    with pytest.raises(StateError, match="keeps its dualization"):
+        operation(bare, zeros)
 
 
 def test_det_of_transfer_kernel_is_one():
@@ -128,18 +127,19 @@ def test_resolvent_zero_weights_is_zero():
 
 
 def test_resolvent_scalar_geometric_series():
-    grid = make_discrete_grid([0.0], [1.0])
-    c = 0.25
-    Kc = BlockKernel(matrix=np.array([[c]]), grids=(grid,), checked=True, rank=1)
-    ws = WeightSet.ones([grid])
-    R = resolvent(Kc, ws)
-    np.testing.assert_allclose(R.block(1, 1), [[c / (1 - c)]], rtol=1e-14)
+    # one node of mass 4, f = h = 1: Kc = 1/4, M = Kc mu w = w, and the
+    # series Kc (1 + M + M^2 + ...) sums to Kc / (1 - w)
+    grid = make_discrete_grid([0.0], [4.0], level=1)
+    _, Kc = checked_kernel(from_tables([grid], [[1.0]], [[1.0]], []))
+    assert Kc.matrix[0, 0] == 0.25
+    R = resolvent(Kc, WeightSet((np.array([0.25]),)))
+    np.testing.assert_allclose(R.block(1, 1), [[0.25 / (1 - 0.25)]], rtol=1e-14)
 
 
 def test_resolvent_singular_rejected():
     tables = two_point_chain()
     _, Kc = checked_kernel(tables)
-    with pytest.raises(ResolventSingular, match=r"<= 1\.000e-12, the floor 1e-12 max"):
+    with pytest.raises(SingularPairing, match=r"condition inf"):
         resolvent(Kc, WeightSet.ones(tables.grids))
 
 
@@ -362,16 +362,18 @@ def reference_cases():
 
 
 def test_support_restriction_matches_dense_formulas():
-    """The walked gap and Janossy density, and the resolvent's LU on S, match
-    det(1 - M) and (1 - M)^{-1} Kc on the full (sum n)^2 matrix."""
+    """The walked gap and Janossy density match det(1 - M) and (1 - M)^{-1} Kc
+    on the full (sum n)^2 matrix, and the walked resolvent matches
+    (1 - M)^{-1} Kc taken to 50 digits."""
     count = 0
     for tables, ws in reference_cases():
-        _, Kc = checked_kernel(tables)
+        bases, Kc = checked_kernel(tables)
         det_ref, R_ref = dense_reference(Kc, ws)
         scale = max(1.0, float(np.max(np.abs(R_ref))))
         assert abs(fredholm_det(Kc, ws) - det_ref) <= 1e-13 * max(1.0, abs(det_ref))
         R = resolvent(Kc, ws)
-        assert np.max(np.abs(R.matrix - R_ref)) <= 1e-13 * scale
+        exact = exact_resolvent(tables, bases.weight_set, ws)
+        assert np.max(np.abs(R.matrix - exact)) <= 1e-13 * scale
         if ws.is_indicator():
             # one point per level where the indicator holds, if it holds there
             points = [[int(np.flatnonzero(w)[0])] if w.any() else [] for w in ws.w]
@@ -501,13 +503,17 @@ def dense_counts(Kc, intervals, shape):
 
 
 def one_route_cases(tmp_path):
-    """(Kc, weights, intervals, max_counts) for structured_cases() with every
-    node inside the count intervals, and gl_chain seed 1 config 0 with its own."""
+    """(Kc, weights, intervals, max_counts, exact) for structured_cases() with
+    every node inside the count intervals, and gl_chain seed 1 config 0 with
+    its own. ``exact`` is the resolvent taken to 50 digits on the discrete
+    cases, and None on the gl_chain one, whose reference is the dense LU."""
     for tables, ws in structured_cases():
         everything = [[(float(g.nodes[0]) - 1.0, float(g.nodes[-1]))] for g in tables.grids]
-        yield checked_kernel(tables)[1], ws, everything, (None, 3)
+        bases, Kc = checked_kernel(tables)
+        yield Kc, ws, everything, (None, 3), exact_resolvent(tables, bases.weight_set, ws)
     inst = workload_instances("gl_chain", 1, [0], tmp_path)[0]
-    yield checked_kernel(inst.tables)[1], inst.weights, inst.weight_intervals, (None,)
+    yield (checked_kernel(inst.tables)[1], inst.weights, inst.weight_intervals, (None,),
+           None)
 
 
 def kernels_without_structure():
@@ -535,15 +541,16 @@ def points_around(Kc, ws, rank):
 
 def test_one_route_matches_dense_reference(tmp_path):
     """fredholm_det, resolvent, janossy and correlation, walked from the
-    kernel's dualization, agree with the dense (sum n)^2 formulas, and the
-    count table with one dense determinant per root tuple. A kernel that
-    keeps no dualization is refused by all but the resolvent, which still
-    matches the dense formula on it."""
-    for Kc, ws, intervals, max_counts in one_route_cases(tmp_path):
+    kernel's dualization, agree with the dense (sum n)^2 formulas (the
+    resolvent on the discrete cases with its 50-digit value), and the count
+    table with one dense determinant per root tuple. A kernel that keeps no
+    dualization is refused by all five."""
+    for Kc, ws, intervals, max_counts, exact in one_route_cases(tmp_path):
         det_ref, R_ref = dense_reference(Kc, ws)
         scale = max(1.0, float(np.max(np.abs(R_ref))))
         assert abs(fredholm_det(Kc, ws) - det_ref) <= 1e-13 * max(1.0, abs(det_ref))
-        assert np.max(np.abs(resolvent(Kc, ws).matrix - R_ref)) <= 1e-13 * scale
+        reference = R_ref if exact is None else exact
+        assert np.max(np.abs(resolvent(Kc, ws).matrix - reference)) <= 1e-13 * scale
         points = points_around(Kc, ws, Kc.rank)
         idx = [Kc.offsets[j] + p for j, pts in enumerate(points) for p in pts]
         ref = det_ref * np.linalg.det(R_ref[np.ix_(idx, idx)])
@@ -557,11 +564,9 @@ def test_one_route_matches_dense_reference(tmp_path):
             worst = max(abs(p - table[k]) for k, p in dist.probabilities.items())
             assert worst <= 1e-13 * max(1.0, float(np.max(np.abs(table))))
     for Kc, ws, intervals in kernels_without_structure():
-        det_ref, R_ref = dense_reference(Kc, ws)
-        scale = max(1.0, float(np.max(np.abs(R_ref))))
-        assert np.max(np.abs(resolvent(Kc, ws).matrix - R_ref)) <= 1e-13 * scale
         points = points_around(Kc, ws, Kc.rank or 1)
-        for refused in (lambda: fredholm_det(Kc, ws), lambda: janossy(Kc, ws, points),
+        for refused in (lambda: fredholm_det(Kc, ws), lambda: resolvent(Kc, ws),
+                        lambda: janossy(Kc, ws, points),
                         lambda: correlation(Kc, points),
                         lambda: gap_generating_function(Kc, intervals)):
             with pytest.raises(StateError, match="keeps its dualization"):
@@ -631,6 +636,19 @@ def test_small_gaps_are_accurate_in_relative_terms():
         assert abs(fredholm_det(Kc, inst.weights) - ref) <= bound * ref
         smallest = min(smallest, ref)
     assert smallest < 1e-12
+
+
+def test_small_gap_resolvents_are_within_the_conditioning_bound():
+    """resolvent serves all 40 small-gap chains, each within cond(A^w) eps
+    max(1, max|R|) of (1 - M)^{-1} Kc taken to 50 digits: the bound of
+    docs/conventions.md."""
+    eps = np.finfo(float).eps
+    for inst in small_gap_chains():
+        bases, Kc = checked_kernel(inst.tables)
+        exact = exact_resolvent(inst.tables, bases.weight_set, inst.weights)
+        scale = max(1.0, float(np.max(np.abs(exact))))
+        bound = np.linalg.cond(pairing_matrix(inst.tables, inst.weights)) * eps * scale
+        assert np.max(np.abs(resolvent(Kc, inst.weights).matrix - exact)) <= bound
 
 
 def test_structured_kernels_factor_nothing_larger_than_n_plus_points(tmp_path, monkeypatch):
