@@ -190,6 +190,7 @@ class DualBases:
     ``psi[j]`` and ``phi[j]`` are N x n_{j+1} in 0-based storage; row a of
     ``psi[j]`` holds psi_a at the level-(j+1) nodes. The level-j pairing of
     psi_a against phi_b with the (1 - w_j) dmu_j measure is delta_ab;
+    ``tables`` is the chain they were dualized on, ``weight_set`` the weights;
     ``biorthogonality_residual`` stores the worst deviation actually measured,
     ``expression_gap`` the max|a1 - am| of the pairing matrix's two expressions.
     """
@@ -198,14 +199,17 @@ class DualBases:
     phi: tuple[np.ndarray, ...]
     decomposition: PairingDecomposition
     weight_set: WeightSet
-    grids: tuple[Grid, ...]
+    tables: ChainTables
     biorthogonality_residual: float
     expression_gap: float
 
     def __post_init__(self):
         object.__setattr__(self, "psi", tuple(frozen_array(p) for p in self.psi))
         object.__setattr__(self, "phi", tuple(frozen_array(p) for p in self.phi))
-        object.__setattr__(self, "grids", tuple(self.grids))
+
+    @property
+    def grids(self) -> tuple[Grid, ...]:
+        return self.tables.grids
 
     @property
     def N(self) -> int:
@@ -248,7 +252,7 @@ def dual_bases(tables: ChainTables, weights: WeightSet) -> DualBases:
         phi=tuple(phi),
         decomposition=dec,
         weight_set=weights,
-        grids=tables.grids,
+        tables=tables,
         biorthogonality_residual=residual,
         expression_gap=gap,
     )

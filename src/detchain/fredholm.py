@@ -4,9 +4,9 @@ All Fredholm objects live on the direct-sum space: a kernel right-composed
 with a weight set w is its (sum n_j) x (sum n_j) matrix M with block column j
 scaled by diag(mu_j * w_j), and det(1 - Kc o w) is the Fredholm determinant.
 
-A checked kernel from ``check_kernel`` keeps the chain tables and the dual
-bases psi, phi it was dualized from, at some weights u. The Fredholm
-quantities are walked from them, and never read the kernel's matrix. With
+A checked kernel from ``check_kernel`` keeps as its ``source`` the dual
+bases psi, phi it was dualized from at some weights u, chain tables and all.
+The Fredholm quantities are walked from them, never from its matrix. With
 nu = mu (1 - u - w) per level, psi^(1) walked up the chain with masses nu by
 ``biortho.walk`` and paired with phi^(m) against nu_m is the N x N matrix
 
@@ -52,8 +52,8 @@ from .kernels import (
     _max_abs_diff,
     _measure_weights,
     _support_columns,
+    _transfers,
     build_g,
-    check_kernel,
     dualize,
 )
 
@@ -65,37 +65,35 @@ def _one_minus(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dualization(Kc: BlockKernel) -> tuple[ChainTables, DualBases]:
-    """The chain tables and dual bases a checked kernel was dualized from."""
+def _kept_bases(Kc: BlockKernel) -> DualBases:
+    """The dual bases a checked kernel keeps; any other kernel is refused."""
     if not Kc.checked:
         raise StateError("operation requires a checked kernel (transfer part subtracted)")
-    if Kc._bases is None:
+    if not isinstance(Kc.source, DualBases):
         raise StateError("operation requires a checked kernel that keeps its "
                          "dualization: check_kernel(build_K(bases), build_g(tables, "
-                         "weights)) at the bases' own weights")
-    return Kc._tables, Kc._bases
+                         "weights)) at the bases' own tables and weights")
+    return Kc.source
 
 
-def _pairing(tables: ChainTables, bases: DualBases, nu: list) -> tuple[list, np.ndarray]:
-    """psi^(1) walked up with the masses nu, on every level, and P, its
-    pairing with phi^(m) against nu_m."""
-    up = walk(tables, nu, bases.psi[0], 1, upward=True)
-    return up, (up[-1] * nu[-1]) @ bases.phi[-1].T
+def _walked(bases: DualBases, w, rows=None):
+    """(nu, up, P) at w, a weight set or per-level arrays: nu = mu (1 - u - w)
+    per level, u the bases' own weights; up, psi^(1) (or ``rows``) walked up
+    with nu, on every level; P, its pairing with phi^(m) against nu_m."""
+    if isinstance(w, WeightSet):
+        check_weights(bases.grids, w)
+        w = w.w
+    nu = [g.weights * (1.0 - u - v) for g, u, v in zip(bases.grids, bases.weight_set.w, w)]
+    up = walk(bases.tables, nu, bases.psi[0] if rows is None else rows, 1, upward=True)
+    return nu, up, (up[-1] * nu[-1]) @ bases.phi[-1].T
 
 
 def _gram_det(bases: DualBases) -> float:
     """det P^0: the level-m pairing of the bases against their own masses,
-    formed as ``_pairing`` forms P, so that w = 0 gives P = P^0 bit for bit."""
+    formed as ``_walked`` forms P, so that w = 0 gives P = P^0 bit for bit."""
     grid, u = bases.grids[-1], bases.weight_set.w[-1]
     return float(np.linalg.det((bases.psi[-1] * (grid.weights * (1.0 - u)))
                                @ bases.phi[-1].T))
-
-
-def _masses(bases: DualBases, weights: WeightSet) -> list[np.ndarray]:
-    """nu = mu (1 - u - w) per level, u the weights the bases were dualized at."""
-    check_weights(bases.grids, weights)
-    return [g.weights * (1.0 - u - w)
-            for g, u, w in zip(bases.grids, bases.weight_set.w, weights.w)]
 
 
 def fredholm_det(Kc: BlockKernel, weights: WeightSet) -> float:
@@ -105,9 +103,8 @@ def fredholm_det(Kc: BlockKernel, weights: WeightSet) -> float:
     chosen subsets; it may legitimately be <= 0 for weights outside [0, 1]
     and is returned as computed.
     """
-    tables, bases = _dualization(Kc)
-    _, P = _pairing(tables, bases, _masses(bases, weights))
-    return float(np.linalg.det(P)) / _gram_det(bases)
+    bases = _kept_bases(Kc)
+    return float(np.linalg.det(_walked(bases, weights)[2])) / _gram_det(bases)
 
 
 def resolvent(Kc: BlockKernel, weights: WeightSet) -> BlockKernel:
@@ -119,21 +116,24 @@ def resolvent(Kc: BlockKernel, weights: WeightSet) -> BlockKernel:
     theorem it is the checked kernel dualized at the masses nu, the kernel
     whose k-point Schur complement ``janossy`` takes: a(x)^T P^{-T} b(y) -
     G(x, y), with psi^(1) walked up and phi^(m) walked down on every level
-    and G the transfers at nu. Its matrix is formed on the first read. A P
-    with condition number 1e12 or more is refused by SingularPairing. With w
-    = 0 on every node the resolvent is Kc itself, which is returned.
+    and G the transfers at nu, subtracted from a^T P^{-T} b block by block
+    in place. Its matrix is formed on the first read. A P with condition
+    number 1e12 or more is refused by SingularPairing. With w = 0 on every
+    node the resolvent is Kc itself, which is returned.
     """
-    tables, bases = _dualization(Kc)
-    nu = _masses(bases, weights)
+    bases = _kept_bases(Kc)
+    nu, up, P = _walked(bases, weights)
     if not any(np.any(w) for w in weights.w):
         return Kc
-    up, P = _pairing(tables, bases, nu)
     check_conditioning(P)
-    down = walk(tables, nu, bases.phi[-1], tables.m, upward=False)
-    K = BlockKernel(matrix=lambda: np.hstack(up).T @ np.linalg.solve(P.T, np.hstack(down)),
-                    grids=Kc.grids, checked=False, rank=Kc.rank)
-    u_plus_w = WeightSet(tuple(u + w for u, w in zip(bases.weight_set.w, weights.w)))
-    return check_kernel(K, build_g(tables, u_plus_w))
+    down = walk(bases.tables, nu, bases.phi[-1], Kc.m, upward=False)
+
+    def form():
+        o, matrix = Kc.offsets, np.hstack(up).T @ np.linalg.solve(P.T, np.hstack(down))
+        for j in range(1, Kc.m):
+            matrix[o[j]:, o[j - 1]:o[j]] -= _transfers(bases.tables, nu, j, slice(None)).T
+        return matrix
+    return BlockKernel(matrix=form, grids=Kc.grids, checked=True, rank=Kc.rank)
 
 
 def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
@@ -155,11 +155,10 @@ def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
     in the entries, so it is the density also where det P = 0. With no
     points it is det(1 - Kc o w).
     """
-    tables, bases = _dualization(Kc)
+    bases = _kept_bases(Kc)
+    nu, up, P = _walked(bases, weights)
     lists = point_lists(Kc.grids, points)
-    nu = _masses(bases, weights)
-    up, P = _pairing(tables, bases, nu)
-    down = walk(tables, nu, bases.phi[-1], tables.m, upward=False)
+    down = walk(bases.tables, nu, bases.phi[-1], Kc.m, upward=False)
     at = [(level, p) for level, pts in enumerate(lists) for p in pts]
     N, k = len(P), len(at)
     bordered = np.zeros((N + k, N + k))
@@ -167,14 +166,13 @@ def janossy(Kc: BlockKernel, weights: WeightSet, points) -> float:
     for i, (level, p) in enumerate(at):
         bordered[N + i, :N] = up[level][:, p]
         bordered[:N, N + i] = down[level][:, p]
-        # G's column i: the transfer from the point up to the points on the
-        # levels above it, with the masses nu at the levels between
-        if level < tables.m - 1:
-            carried = walk(tables, nu, tables.g_values[level].T[p], level + 2,
-                           upward=True)
-            for r, (above, q) in enumerate(at):
-                if above > level:
-                    bordered[N + r, N + i] = carried[above - level - 1][q]
+    # G: the transfers at nu from each level's points to the points above it
+    first = N + np.cumsum([0] + [len(pts) for pts in lists])
+    pos = np.array([Kc.offsets[level] + p for level, p in at], dtype=int)
+    for level in range(1, Kc.m):
+        G = _transfers(bases.tables, nu, level, lists[level - 1])
+        bordered[first[level]:, first[level - 1]:first[level]] = \
+            G[:, pos[first[level] - N:] - Kc.offsets[level]].T
     return (-1) ** k * float(np.linalg.det(bordered)) / _gram_det(bases)
 
 
@@ -234,9 +232,9 @@ def gap_generating_function(Kc: BlockKernel, intervals, max_count: int | None = 
     DFT recovers the probabilities. ``max_count`` raises d_j up to |S_j| (see
     ``count_degrees``).
     """
-    tables, bases = _dualization(Kc)
+    bases = _kept_bases(Kc)
     chi = indicators(Kc.grids, intervals)
-    shape = tuple(k + 1 for k in count_degrees(Kc.rank, [int(c.sum()) for c in chi],
+    shape = tuple(k + 1 for k in count_degrees(bases.N, [int(c.sum()) for c in chi],
                                                max_count))
     # xi_j at every root tuple, one row per level; the first tuple is xi = 1
     xi = np.exp(2j * np.pi * np.indices(shape).reshape(len(shape), -1)
@@ -244,10 +242,9 @@ def gap_generating_function(Kc: BlockKernel, intervals, max_count: int | None = 
     N, T = bases.N, xi.shape[1]
     # the tuples folded into the rows: T N rows of psi^(1), each walked with
     # its tuple's masses, so that each level takes one matrix product
-    nu = [np.repeat(g.weights * (1.0 - u - (1.0 - x[:, None]) * c), N, axis=0)
-          for g, u, x, c in zip(Kc.grids, bases.weight_set.w, xi, chi)]
-    top = walk(tables, nu, np.tile(bases.psi[0], (T, 1)), 1, upward=True)[-1]
-    values = np.linalg.det(((top * nu[-1]) @ bases.phi[-1].T).reshape(T, N, N))
+    w = [np.repeat((1.0 - x[:, None]) * c, N, axis=0) for x, c in zip(xi, chi)]
+    P = _walked(bases, w, rows=np.tile(bases.psi[0], (T, 1)))[2]
+    values = np.linalg.det(P.reshape(T, N, N))
     coeffs = (values / values[0]).reshape(shape)
     # the inverse DFT, a product with the (d_j + 1)-square DFT matrix along
     # each axis: the lengths are small, and loading numpy.fft for them would

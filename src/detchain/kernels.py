@@ -44,16 +44,19 @@ class BlockKernel:
     projection-type kernels and is None otherwise. A given array is frozen
     in place, not copied. ``build_K``, ``build_g`` and ``check_kernel`` give
     a zero-argument function instead, and the kernel calls it on the first
-    read of ``matrix``; their kernels also keep what they were built from,
-    and a checked kernel keeps the chain tables and the dual bases the
-    Fredholm quantities are walked from (see ``check_kernel``).
+    read of ``matrix``. ``source`` is what the kernel was made from: the
+    dual bases for ``build_K``'s kernel and for a checked kernel that keeps
+    its dualization (see ``check_kernel``), the pair (tables, weights) for
+    ``build_g``'s, and None otherwise. No attribute can be added later.
     """
 
-    def __init__(self, matrix, grids, checked: bool, rank: int | None = None):
+    __slots__ = ("grids", "offsets", "checked", "rank", "source", "_form", "_matrix")
+
+    def __init__(self, matrix, grids, checked: bool, rank: int | None = None,
+                 source: DualBases | tuple[ChainTables, WeightSet] | None = None):
         self.grids = tuple(grids)
         self.offsets = tuple(np.cumsum([0] + [g.size for g in self.grids]).tolist())
-        self.checked, self.rank = checked, rank
-        self._tables = self._bases = self._weights = None
+        self.checked, self.rank, self.source = checked, rank, source
         self._form = matrix if callable(matrix) else None
         self._matrix = None if callable(matrix) else self._frozen(matrix)
 
@@ -88,9 +91,15 @@ def build_K(bases: DualBases) -> BlockKernel:
     """Projection-type kernel from dual bases: block (i, j) = psi_i^T phi_j."""
     def form():
         return np.hstack(bases.psi).T @ np.hstack(bases.phi)
-    K = BlockKernel(matrix=form, grids=bases.grids, checked=False, rank=bases.N)
-    K._bases = bases
-    return K
+    return BlockKernel(matrix=form, grids=bases.grids, checked=False, rank=bases.N,
+                       source=bases)
+
+
+def _transfers(tables: ChainTables, e: list[np.ndarray], level: int, nodes) -> np.ndarray:
+    """Rows ``nodes`` of g_level^T walked up the chain with the masses e: the
+    transfers from those level nodes to every node above, the levels stacked."""
+    return np.hstack(walk(tables, e, tables.g_values[level - 1].T[nodes], level + 1,
+                          upward=True))
 
 
 def build_g(tables: ChainTables, weights: WeightSet) -> BlockKernel:
@@ -98,8 +107,8 @@ def build_g(tables: ChainTables, weights: WeightSet) -> BlockKernel:
 
     Block (i, j), i > j, holds the level-j to level-i composite with
     diag(mu (1 - w)) at the intermediate levels; blocks with i <= j are zero.
-    Block column j is g_j^T walked up the chain from level j + 1 and
-    transposed back: block(i, j) = g_{i-1} diag(e_{i-1}) block(i - 1, j),
+    Block column j below the diagonal is ``_transfers`` of every level-j
+    node, transposed: block(i, j) = g_{i-1} diag(e_{i-1}) block(i - 1, j),
     e = mu (1 - w), starting from the stored transfer table g_j.
     """
     e = dual_masses(tables, weights)
@@ -108,34 +117,31 @@ def build_g(tables: ChainTables, weights: WeightSet) -> BlockKernel:
         o = np.cumsum([0] + [g.size for g in tables.grids])
         matrix = np.zeros((o[-1], o[-1]))
         for j in range(1, tables.m):
-            column = walk(tables, e, tables.g_values[j - 1].T, j + 1, upward=True)
-            matrix[o[j]:, o[j - 1]:o[j]] = np.hstack(column).T
+            matrix[o[j]:, o[j - 1]:o[j]] = _transfers(tables, e, j, slice(None)).T
         return matrix
-    g = BlockKernel(matrix=form, grids=tables.grids, checked=True, rank=None)
-    g._tables, g._weights = tables, weights
-    return g
+    return BlockKernel(matrix=form, grids=tables.grids, checked=True, rank=None,
+                       source=(tables, weights))
 
 
 def check_kernel(K: BlockKernel, g: BlockKernel) -> BlockKernel:
     """Subtract the transfer part, K - g, marking the result checked.
 
-    When K is ``build_K``'s kernel of dual bases and g is ``build_g``'s of a
-    chain at the bases' own weights, the result keeps the chain tables and
-    the bases: the Fredholm quantities are walked from them, and only a read
-    of ``matrix`` forms K - g. Any other pair gives a kernel without that
-    structure, which the Fredholm quantities refuse.
+    When K is ``build_K``'s kernel of dual bases and g is ``build_g``'s of
+    the bases' own chain tables (the same object) at weights equal to the
+    bases' own, the result keeps the bases as its source: the Fredholm
+    quantities are walked from them, and only a read of ``matrix`` forms
+    K - g. They refuse a kernel from any other pair.
     """
     if K.checked:
         raise StateError("transfer part already subtracted from this kernel")
     if K.m != g.m:
         raise ShapeError("kernel and transfer block counts differ")
-    Kc = BlockKernel(matrix=lambda: K.matrix - g.matrix, grids=K.grids, checked=True,
-                     rank=K.rank)
-    if (K._bases is not None and g._tables is not None and _same_grids(K, g)
-            and all(np.array_equal(u, w) for u, w in zip(K._bases.weight_set.w,
-                                                          g._weights.w))):
-        Kc._tables, Kc._bases = g._tables, K._bases
-    return Kc
+    bases, made = K.source, g.source
+    keeps = (isinstance(bases, DualBases) and isinstance(made, tuple)
+             and made[0] is bases.tables
+             and all(np.array_equal(u, w) for u, w in zip(bases.weight_set.w, made[1].w)))
+    return BlockKernel(matrix=lambda: K.matrix - g.matrix, grids=K.grids, checked=True,
+                       rank=K.rank, source=bases if keeps else None)
 
 
 @dataclass(frozen=True)
@@ -163,15 +169,6 @@ def dualize(tables: ChainTables, weights: WeightSet) -> Dualization:
     return Dualization(bases=bases, K=build_K(bases), g=build_g(tables, weights))
 
 
-def _same_grids(a: BlockKernel, b: BlockKernel) -> bool:
-    if a.m != b.m:
-        return False
-    return all(
-        ga.size == gb.size and np.array_equal(ga.nodes, gb.nodes)
-        for ga, gb in zip(a.grids, b.grids)
-    )
-
-
 def _measure_weights(grids, weights: WeightSet) -> np.ndarray:
     """The diagonal of diag(mu_j * w_j) over all levels, as one vector."""
     check_weights(grids, weights)
@@ -197,7 +194,8 @@ def compose_w(A: BlockKernel, weights: WeightSet, B: BlockKernel) -> BlockKernel
     The sum runs over S = supp(mu w) only; the other inner terms are exact zeros.
     This dense form is the reference for the structured products of ``check``.
     """
-    if not _same_grids(A, B):
+    if A.m != B.m or not all(a.size == b.size and np.array_equal(a.nodes, b.nodes)
+                             for a, b in zip(A.grids, B.grids)):
         raise ShapeError("composition requires kernels on the same grids")
     S, AS = _support_columns(A, weights)
     matrix = AS @ B.matrix[S]

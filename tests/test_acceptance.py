@@ -126,7 +126,7 @@ def test_criterion_3_biorthogonality_and_invariance(instance_set):
             (tuple(p[perm] for p in bases.psi), tuple(p[perm] for p in bases.phi)),
         ):
             other = type(bases)(psi=psi, phi=phi, decomposition=bases.decomposition,
-                                weight_set=bases.weight_set, grids=bases.grids,
+                                weight_set=bases.weight_set, tables=bases.tables,
                                 biorthogonality_residual=bases.biorthogonality_residual,
                                 expression_gap=bases.expression_gap)
             rebuilt = build_K(other)

@@ -263,7 +263,7 @@ def test_sign_flips_leave_kernels_unchanged():
             phi=tuple(flips[:, None] * p for p in bases.phi),
             decomposition=bases.decomposition,
             weight_set=bases.weight_set,
-            grids=bases.grids,
+            tables=bases.tables,
             biorthogonality_residual=bases.biorthogonality_residual,
             expression_gap=bases.expression_gap,
         )

@@ -33,9 +33,8 @@ from detchain import (
 from detchain.chain import indicators
 from detchain.fredholm import (
     _identity_products,
-    _masses,
-    _pairing,
     _transfer_resolvent_rows,
+    _walked,
     theorem2_residuals_of,
     transfer_resolvent_residual,
 )
@@ -62,6 +61,19 @@ def test_det_is_one_for_zero_weights():
     tables, _ = random_discrete_instance(1, m=2, N=2)
     _, Kc = checked_kernel(tables)
     assert fredholm_det(Kc, WeightSet.zeros(tables.grids)) == 1.0
+
+
+def test_replay_construction_keeps_its_dualization():
+    """Bases and g at two distinct zero weight sets, equal by value, give a
+    kernel that keeps the bases: its det at w = 0 is exactly 1. No attribute
+    can be added to a kernel."""
+    tables, _ = random_discrete_instance(1, m=3, N=2)
+    bases = dual_bases(tables, WeightSet.zeros(tables.grids))
+    Kc = check_kernel(build_K(bases), build_g(tables, WeightSet.zeros(tables.grids)))
+    assert Kc.source is bases
+    assert fredholm_det(Kc, WeightSet.zeros(tables.grids)) == 1.0
+    with pytest.raises(AttributeError):
+        Kc.bases = bases
 
 
 def test_det_vanishes_when_projection_fills_space():
@@ -517,10 +529,15 @@ def one_route_cases(tmp_path):
 
 
 def kernels_without_structure():
-    """(Kc, weights, intervals): build_g's kernel, K less a g that is not
-    strictly block-lower, and a 1 x 1 matrix."""
+    """(Kc, weights, intervals): build_g's kernel, K less a g built from other
+    transfer tables on the same grids, K less a g that is not strictly
+    block-lower, and a 1 x 1 matrix."""
     tables, ws = random_discrete_instance(2, m=3, N=2)
     yield build_g(tables, ws), ws, [[(-3.0, 3.0)]] * tables.m
+    other = replace(tables, g_values=tuple(g[::-1] for g in tables.g_values))
+    yield (check_kernel(build_K(dual_bases(tables, WeightSet.zeros(tables.grids))),
+                        build_g(other, WeightSet.zeros(tables.grids))),
+           ws, [[(-3.0, 3.0)]] * tables.m)
     g = build_g(tables, WeightSet.zeros(tables.grids))
     full = BlockKernel(matrix=g.matrix + 0.01, grids=g.grids, checked=True)
     yield (check_kernel(build_K(dual_bases(tables, WeightSet.zeros(tables.grids))), full),
@@ -602,7 +619,7 @@ def test_w_pairing_is_the_plain_dual_pairing(tmp_path):
     eps = np.finfo(float).eps
     for inst in instances:
         bases = dual_bases(inst.tables, WeightSet.zeros(inst.tables.grids))
-        _, pairing = _pairing(inst.tables, bases, _masses(bases, inst.weights))
+        pairing = _walked(bases, inst.weights)[2]
         dec = bases.decomposition
         A = pairing_matrix(inst.tables, inst.weights)
         dual = np.linalg.solve(dec.L, A[dec.permutation]) @ np.linalg.inv(dec.U)
@@ -630,7 +647,7 @@ def test_small_gaps_are_accurate_in_relative_terms():
     smallest = 1.0
     for inst in small_gap_chains():
         bases, Kc = checked_kernel(inst.tables)
-        _, P = _pairing(inst.tables, bases, _masses(bases, inst.weights))
+        P = _walked(bases, inst.weights)[2]
         ref = oracle_gap(enumerate_configurations(inst.tables, bases=bases), inst.weights)
         bound = inst.tables.N * np.linalg.cond(P) * eps
         assert abs(fredholm_det(Kc, inst.weights) - ref) <= bound * ref
