@@ -13,10 +13,13 @@ per level and 4, 2 on 8; no sampler section), a chain whose gap is
 5.0e-13 (m, N = 3, 2 on 7 nodes per level, seed 7, coupling 1, w = 1 except
 on the last two nodes of each level; no sampler section), plus
 the seed-1 configs ``gl_chain`` 0-2, ``discrete_verify`` 0-5 and ``mcmc``
-0-1 of ``perfbench/workloads.py`` (imported by path, read only) and
-``discrete_verify`` seed 4, cycle 1816 (cond A^w 1.25e8). Each tree
-then runs the seven commands on every config in one subprocess, with BLAS
-pinned to one thread. Prints every difference in exit code, stdout, stderr
+0-1 of ``perfbench/workloads.py`` (imported by path, read only) and the
+``discrete_verify`` (seed, cycle) pairs (4, 1816), (5, 1407) and (2, 216)
+of ROADMAP item 1's table (cond A^w 1.25e8 at the first): the instances
+whose ``check`` rows read furthest over their bounds, where the dense
+references carry the most rounding and a status is likeliest to flip.
+Each tree then runs the seven commands on every config in one subprocess,
+with BLAS pinned to one thread. Prints every difference in exit code, stdout, stderr
 or CSV. For each ``check`` row it then prints the largest new/old residual
 ratio over the configs, and lists every row whose status flips or that
 reads exactly 0.0 where REF's does not. For every other command it prints
@@ -55,6 +58,9 @@ COMMANDS = ("check", "gap", "janossy", "correlate", "counts", "sample", "oracle"
 BUNDLED = ("discrete_m1n2", "discrete_m2n2", "discrete_m3n2", "gauss_chain")
 WORKLOAD_CYCLES = {"gl_chain": 3, "discrete_verify": 6, "mcmc": 2}
 SEED = 1
+# (seed, cycle) of the discrete_verify instances whose check rows read
+# furthest over their bounds (ROADMAP item 1)
+WORST_CONDITIONED = ((4, 1816), (5, 1407), (2, 216))
 FIELDS = ("code", "stdout", "stderr", "csv")
 
 
@@ -112,9 +118,10 @@ def write_configs(directory: Path) -> list[Path]:
             # some workloads rewrite one file per cycle: copy it out at once
             shutil.copyfile(workload.config_for(cycle), configs[-1])
     # the stem keeps its workload's name, so the benchmark's checks run on it too
-    configs.append(directory / "discrete_verify-s4c1816.json")
-    shutil.copyfile(workloads.WORKLOADS["discrete_verify"](4, scratch).config_for(1816),
-                    configs[-1])
+    for seed, cycle in WORST_CONDITIONED:
+        configs.append(directory / f"discrete_verify-s{seed}c{cycle}.json")
+        shutil.copyfile(workloads.WORKLOADS["discrete_verify"](seed, scratch)
+                        .config_for(cycle), configs[-1])
     shutil.rmtree(scratch)
     return configs
 

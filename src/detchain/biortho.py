@@ -28,7 +28,7 @@ from .chain import ChainTables, WeightSet, check_weights
 from .errors import CompositionInconsistency, ShapeError, SingularPairing
 from .measure import Grid, frozen_array
 
-# condition number above which the pairing is treated as singular
+# condition number at and above which the pairing is treated as singular
 CONDITION_LIMIT = 1e12
 
 _DUAL_EXPRESSION_RTOL = 1e-11
@@ -144,8 +144,8 @@ def plu_decompose(A: np.ndarray) -> PairingDecomposition:
     U = diag(sign(d) / sqrt|d|) * U0, so L_ii = sign(d_i) sqrt|d_i| and
     U_ii = sqrt|d_i| > 0.
 
-    Raises SingularPairing when A is singular or its condition number
-    exceeds 1e12.
+    Raises SingularPairing when A is singular or its condition number is
+    1e12 or more.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -224,9 +224,9 @@ def dual_bases(tables: ChainTables, weights: WeightSet) -> DualBases:
 
     psi on level 1 is (PL)^{-1} f, phi on level m is U^{-T} h; ``walk``
     carries psi up and phi down the chain, with the diag(mu (1 - w)) factor
-    of the source level inserted. The biorthogonality residual is verified
-    on every level (enforced at 1e-10 while the pairing matrix has condition
-    number at most 1e8).
+    of the source level inserted. The biorthogonality residual is measured
+    on every level and kept; only a residual above the 1e-8 assembly net is
+    refused here (CompositionInconsistency). ``check`` judges it at --tol.
     """
     A, gap = _judged_pairing(tables, weights)
     dec = plu_decompose(A)

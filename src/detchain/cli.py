@@ -370,35 +370,35 @@ def _verdicts(inst: InstanceConfig, rows, width: int, describe):
 # commands: each gets the instance and its plain (w = 0) dualization, prints its
 # stdout and returns (exit code, CSV header, CSV rows)
 
-def cmd_check(inst: InstanceConfig, plain: Dualization, args):
-    tol = args.tol
-    tables, weights = inst.tables, inst.weights
-    zeros = WeightSet.zeros(tables.grids)
-    dual = dualize(tables, weights)
-    rows = []
-
+def check_rows(tables: ChainTables, plain: Dualization, dual: Dualization, tol: float):
+    """``check``'s rows (name, residual, bound) in CSV order, read from the
+    plain (w = 0) and dual (w) records; docs/outputs.md states the bounds.
+    Each record's K is scanned once for its scale."""
+    weights = dual.bases.weight_set
+    records = (("plain", plain), ("dual", dual))
     res = theorem2_residuals_of(tables, plain, dual)
-    for name, value in res.as_dict().items():
-        rows.append((f"identity_{name}", value, tol * res.scale))
+    rows = [(f"identity_{name}", value, tol * res.scale)
+            for name, value in res.as_dict().items()]
     rows.append(("transfer_resolvent", transfer_resolvent_residual(dual.g, weights, plain.g),
                  tol * res.scale))
+    rows += [(f"biorthogonality_{label}", d.bases.biorthogonality_residual, tol)
+             for label, d in records]
+    rows += [(f"pairing_expressions_{label}", d.bases.expression_gap,
+              1e-11 * max(1.0, float(np.max(np.abs(d.bases.decomposition.A)))))
+             for label, d in records]
+    scale = {label: max(1.0, d.K.max_abs()) for label, d in records}
+    rows.append(("construction_invariance",
+                 _max_abs_diff(dual.K.matrix, kernel_via_inverse(tables, weights).matrix),
+                 1e-12 * scale["dual"]))
+    rows += [(f"factorization_{label}",
+              factorization_residual(d.K, d.g, tables, d.bases.weight_set),
+              1e-11 * scale[label])
+             for label, d in records]
+    return rows
 
-    rows.append(("biorthogonality_plain", plain.bases.biorthogonality_residual, tol))
-    rows.append(("biorthogonality_dual", dual.bases.biorthogonality_residual, tol))
 
-    for label, d in (("plain", plain), ("dual", dual)):
-        scale_a = max(1.0, float(np.max(np.abs(d.bases.decomposition.A))))
-        rows.append((f"pairing_expressions_{label}", d.bases.expression_gap,
-                     1e-11 * scale_a))
-
-    diff = _max_abs_diff(dual.K.matrix, kernel_via_inverse(tables, weights).matrix)
-    rows.append(("construction_invariance", diff, 1e-12 * max(1.0, dual.K.max_abs())))
-
-    for label, d, ws in (("plain", plain, zeros), ("dual", dual, weights)):
-        rows.append((f"factorization_{label}",
-                     factorization_residual(d.K, d.g, tables, ws),
-                     1e-11 * max(1.0, d.K.max_abs())))
-
+def cmd_check(inst: InstanceConfig, plain: Dualization, args):
+    rows = check_rows(inst.tables, plain, dualize(inst.tables, inst.weights), args.tol)
     code, rows = _verdicts(inst, rows, 28,
                            lambda value, bound: f"residual={value:.3e}  bound={bound:.3e}")
     return code, ["quantity", "residual", "bound", "status"], rows

@@ -230,7 +230,9 @@ def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,
     floating-point noise on a consistent instance. The relations are read
     off the stored matrix K, not its factors: psi^(j+1) is defined as the
     walk of psi^(j), so on psi^T phi the adjacent relations would hold to
-    the last bit and judge nothing.
+    the last bit and judge nothing. At each level i they are judged on row
+    block i (corner; down, from i - 1) and column block i (up, from i + 1),
+    so no (sum n_j)^2 temporary is formed.
     """
     e = dual_masses(tables, weights)
     o = K.offsets
@@ -238,21 +240,20 @@ def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,
     if m == 1:
         return 0.0
     M = K.matrix
-    # block (1, m) carried to every level through g's composite blocks: down
-    # its rows by g_i1 diag(e_1), then across its columns by diag(e_m) g_mj;
-    # g's zero blocks (1, 1) and (m, m) are skipped
-    cols = np.empty((o[-1], o[-1] - o[-2]))
-    cols[:o[1]] = K.block(1, m)
-    cols[o[1]:] = g.matrix[o[1]:, :o[1]] @ (e[0][:, None] * K.block(1, m))
-    corner = np.empty_like(M)
-    corner[:, :o[-2]] = (cols * e[-1][None, :]) @ g.matrix[o[-2]:, :o[-2]]
-    corner[:, o[-2]:] = cols
-    # freed before the products below: alive, it slows their allocations by
-    # about a tenth of this function's time at n = 256, m = 3
-    del cols
-    down = np.vstack([tables.g_values[j] @ (e[j][:, None] * M[o[j]:o[j + 1]])
-                      for j in range(m - 1)])
-    up = np.hstack([(M[:, o[j + 1]:o[j + 2]] * e[j + 1][None, :]) @ tables.g_values[j]
-                    for j in range(m - 1)])
-    return max(_max_abs_diff(M, corner), _max_abs_diff(M[o[1]:], down),
-               _max_abs_diff(M[:, :o[-2]], up))
+    # block (1, m) carried down its rows by g_i1 diag(e_1), then across its
+    # columns by diag(e_m) g_mj; g's zero blocks (1, 1) and (m, m) are skipped
+    carried = e[0][:, None] * K.block(1, m)
+    across = g.matrix[o[-2]:, :o[-2]]
+    worst = 0.0
+    for i in range(1, m + 1):
+        r = slice(o[i - 1], o[i])
+        cols = K.block(1, m) if i == 1 else g.block(i, 1) @ carried
+        worst = max(worst, _max_abs_diff(M[r, o[-2]:], cols),
+                    _max_abs_diff(M[r, :o[-2]], (cols * e[-1][None, :]) @ across))
+        if i > 1:
+            worst = max(worst, _max_abs_diff(
+                M[r], tables.g_values[i - 2] @ (e[i - 2][:, None] * M[o[i - 2]:o[i - 1]])))
+        if i < m:
+            worst = max(worst, _max_abs_diff(
+                M[:, r], (M[:, o[i]:o[i + 1]] * e[i][None, :]) @ tables.g_values[i - 1]))
+    return worst

@@ -17,7 +17,6 @@ from detchain import (
     dual_bases,
     dualize,
     enumerate_configurations,
-    factorization_residual,
     fredholm_det,
     from_tables,
     g_resolvent_residual,
@@ -30,6 +29,7 @@ from detchain import (
     resolvent,
     theorem2_residuals,
 )
+from detchain import cli
 from detchain.chain import indicators
 from detchain.fredholm import (
     _identity_products,
@@ -41,7 +41,12 @@ from detchain.fredholm import (
 from detchain.instances import monomial_discrete_config, random_discrete_instance
 from detchain.cli import parse_instance
 
-from .conftest import two_point_chain, workload_instances, zero_gap_m2n2
+from .conftest import (
+    perfbench_module,
+    two_point_chain,
+    workload_instances,
+    zero_gap_m2n2,
+)
 from .density_forms import joint_density
 from .exact_resolvent import exact_resolvent
 
@@ -449,17 +454,9 @@ def test_forward_substitution_matches_dense_transfer_resolvent():
 
 
 def check_rows(tables, plain, dual):
-    """check's identity, transfer_resolvent and factorization rows, each as
-    (residual, bound), on the given records."""
-    ws, zeros = dual.bases.weight_set, plain.bases.weight_set
-    res = theorem2_residuals_of(tables, plain, dual)
-    rows = {f"identity_{k}": (v, 1e-10 * res.scale) for k, v in res.as_dict().items()}
-    rows["transfer_resolvent"] = (transfer_resolvent_residual(dual.g, ws, plain.g),
-                                  1e-10 * res.scale)
-    for label, d, w in (("plain", plain, zeros), ("dual", dual, ws)):
-        rows[f"factorization_{label}"] = (factorization_residual(d.K, d.g, tables, w),
-                                          1e-11 * max(1.0, d.K.max_abs()))
-    return rows
+    """check's rows as {name: (residual, bound)} on the given records."""
+    return {name: (value, bound)
+            for name, value, bound in cli.check_rows(tables, plain, dual, 1e-10)}
 
 
 def perturbed(kernel, i, j):
@@ -478,7 +475,8 @@ def perturbed(kernel, i, j):
                 "identity_transfer_transfer", "identity_kernel_transfer",
                 "transfer_resolvent", "factorization_dual"}),
     ("dual K", {"identity_resolvent", "identity_checked_product",
-                "identity_transfer_kernel", "factorization_dual"}),
+                "identity_transfer_kernel", "construction_invariance",
+                "factorization_dual"}),
     ("plain K", {"identity_resolvent", "identity_checked_product",
                  "identity_kernel_transfer", "factorization_plain"}),
 ])
@@ -668,6 +666,18 @@ def test_small_gap_resolvents_are_within_the_conditioning_bound():
         assert np.max(np.abs(resolvent(Kc, inst.weights).matrix - exact)) <= bound
 
 
+def factored_orders(monkeypatch):
+    """A list to which every later np.linalg det, slogdet, solve and inv call
+    appends the order of its matrix."""
+    orders = []
+    for name in ("det", "slogdet", "solve", "inv"):
+        def recorded(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            orders.append(np.shape(a)[-1])
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return orders
+
+
 def test_structured_kernels_factor_nothing_larger_than_n_plus_points(tmp_path, monkeypatch):
     """On a kernel that keeps its dualization, every matrix fredholm_det, janossy
     and gap_generating_function factor is at most N + k square, k the number
@@ -675,14 +685,23 @@ def test_structured_kernels_factor_nothing_larger_than_n_plus_points(tmp_path, m
     inst = workload_instances("gl_chain", 1, [0], tmp_path)[0]
     Kc = dualize(inst.tables, WeightSet.zeros(inst.tables.grids)).Kc
     assert np.count_nonzero(np.concatenate(inst.weights.w)) > 300
-    orders = []
-    for name in ("det", "slogdet", "solve", "inv"):
-        def recorded(a, *args, _f=getattr(np.linalg, name), **kwargs):
-            orders.append(np.shape(a)[-1])
-            return _f(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, recorded)
+    orders = factored_orders(monkeypatch)
     fredholm_det(Kc, inst.weights)
     janossy(Kc, inst.weights, inst.task.points)
     gap_generating_function(Kc, inst.weight_intervals, inst.task.max_count)
     k = sum(len(p) for p in inst.task.points)
     assert orders and max(orders) <= inst.tables.N + k
+
+
+def test_check_factors_nothing_larger_than_the_support(tmp_path, monkeypatch):
+    """check's dense reference factors 1 - M on S = supp(mu w) only: no matrix
+    check factors is larger than |S|, which is below the sum of the level sizes."""
+    config = str(perfbench_module("workloads").WORKLOADS["gl_chain"](1, tmp_path)
+                 .config_for(0))
+    inst = cli.load_instance(config)
+    support = sum(int(np.count_nonzero(g.weights * w))
+                  for g, w in zip(inst.tables.grids, inst.weights.w))
+    assert support < sum(g.size for g in inst.tables.grids) == 768
+    orders = factored_orders(monkeypatch)
+    assert cli.main(["check", "--config", config]) == 0
+    assert orders and max(orders) <= support
