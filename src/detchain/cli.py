@@ -17,12 +17,12 @@ import argparse
 import csv
 import hashlib
 import json
+import numbers
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .chain import (
@@ -191,8 +191,57 @@ CONFIG_SCHEMA = {
     },
 }
 
-# built once: jsonschema.validate would re-check the schema on every call
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+def _equal(a, b) -> bool:
+    """JSON equality of scalars: True is not 1, 1.0 is 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+# draft 2020-12 semantics of the keywords CONFIG_SCHEMA uses, each as
+# (value, keyword argument, schema) -> bool; any other keyword is a KeyError
+_KEYWORDS = {
+    "$schema": lambda v, arg, s: True,
+    "title": lambda v, arg, s: True,
+    "type": lambda v, t, s: _TYPES[t](v),
+    "enum": lambda v, options, s: any(_equal(v, o) for o in options),
+    "const": lambda v, c, s: _equal(v, c),
+    "minimum": lambda v, low, s: not _is_number(v) or v >= low,
+    "required": lambda v, keys, s: not isinstance(v, dict) or all(k in v for k in keys),
+    "properties": lambda v, props, s: not isinstance(v, dict) or all(
+        _conforms(v[k], sub) for k, sub in props.items() if k in v),
+    "additionalProperties": lambda v, extra, s: not isinstance(v, dict) or all(
+        _conforms(v[k], extra) for k in v if k not in s.get("properties", {})),
+    "items": lambda v, sub, s: not isinstance(v, list) or all(_conforms(x, sub) for x in v),
+    "minItems": lambda v, n, s: not isinstance(v, list) or len(v) >= n,
+    "maxItems": lambda v, n, s: not isinstance(v, list) or len(v) <= n,
+    "oneOf": lambda v, subs, s: sum(_conforms(v, sub) for sub in subs) == 1,
+}
+
+
+def _conforms(value, schema) -> bool:
+    """Whether ``value`` is valid under ``schema``: the decision of jsonschema's
+    Draft202012Validator, without importing it."""
+    if isinstance(schema, bool):
+        return schema
+    for keyword, arg in schema.items():
+        if not _KEYWORDS[keyword](value, arg, schema):
+            return False
+    return True
+
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -238,18 +287,24 @@ def _field(path: str, name: str):
 
 def parse_instance(raw: dict, path: str = "<config>") -> InstanceConfig:
     """Validate a raw config dict against the schema and assemble the instance."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
+    if not _conforms(raw, CONFIG_SCHEMA):
+        # imported only to word the refusal: best_match picks the most
+        # relevant of its errors, so a valid config never loads it
+        import jsonschema
+
+        error = jsonschema.exceptions.best_match(
+            jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(raw))
         loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"{path}: field {loc}: {error.message}") from error
 
+    # draft 2020-12 counts 2.0 as an integer: each integer field is read with int()
     chain_cfg = raw["chain"]
-    m, n_rank = chain_cfg["m"], chain_cfg["N"]
+    m, n_rank = int(chain_cfg["m"]), int(chain_cfg["N"])
     if len(raw["grids"]) != m:
         raise ConfigError(f"{path}: field grids: expected {m} entries, got "
                           f"{len(raw['grids'])}")
     with _field(path, "grids"):
-        grids = [make_gauss_legendre_grid(tuple(gc["interval"]), gc["n"], level=level)
+        grids = [make_gauss_legendre_grid(tuple(gc["interval"]), int(gc["n"]), level=level)
                  if gc["kind"] == "gauss_legendre" else
                  make_discrete_grid(gc["points"], gc["masses"], level=level)
                  for level, gc in enumerate(raw["grids"], start=1)]
@@ -297,13 +352,14 @@ def parse_instance(raw: dict, path: str = "<config>") -> InstanceConfig:
     if "sampler" in task_cfg:
         sc = task_cfg["sampler"]
         with _field(path, "task/sampler"):
-            sampler_cfg = SamplerConfig(steps=sc["steps"], burn_in=sc.get("burn_in"),
-                                        seed=sc.get("seed", 0))
+            sampler_cfg = SamplerConfig(steps=int(sc["steps"]),
+                                        burn_in=int(sc["burn_in"]) if "burn_in" in sc else None,
+                                        seed=int(sc.get("seed", 0)))
     points = None
     if "points" in task_cfg:
         with _field(path, "task/points"):
             points = tuple(map(tuple, point_lists(grids, task_cfg["points"], n_rank)))
-    max_count = task_cfg.get("max_count")
+    max_count = int(task_cfg["max_count"]) if "max_count" in task_cfg else None
     if max_count is not None and weight_intervals is not None:
         with _field(path, "task/max_count"):
             count_degrees(n_rank, [int(chi.sum()) for chi in

@@ -51,7 +51,6 @@ from .kernels import (
     Dualization,
     _max_abs_diff,
     _measure_weights,
-    _support_columns,
     _transfers,
     build_g,
     dualize,
@@ -289,19 +288,22 @@ class IdentityResiduals:
         return max(self.as_dict().values())
 
 
-def resolvent_residual(kernel: BlockKernel, weights: WeightSet,
-                       expected: BlockKernel) -> float:
-    """max |(1 - kernel o w)^{-1} (kernel o w) - expected o w|.
+def resolvent_residual(plain: Dualization, dual: Dualization) -> float:
+    """max |(1 - Kc o w)^{-1} (Kc o w) - dual-Kc o w|, w the dual record's weights.
 
-    Both sides vanish outside S = supp(mu w). With M_S the S columns of
-    M = kernel o w and M_SS their S rows, X = M_S + M_S (1 - M_SS)^{-1} M_SS
-    solves (1 - M) X = M_S, since M X = M_S X_S: the reference is a dense LU
-    of the |S|-square 1 - M_SS, independent of the walked route.
+    Both sides vanish outside S = supp(mu w), and the S columns of each
+    checked kernel are read as K[:, S] - g[:, S], so neither is formed whole.
+    With M_S the S columns of M = Kc o w and M_SS their S rows,
+    X = M_S + M_S (1 - M_SS)^{-1} M_SS solves (1 - M) X = M_S, since
+    M X = M_S X_S: the reference is a dense LU of the |S|-square 1 - M_SS,
+    independent of the walked route.
     """
-    S, M_S = _support_columns(kernel, weights)
+    col = _measure_weights(plain.K.grids, dual.bases.weight_set)
+    S = np.flatnonzero(col)
+    M_S, expected = ((d.K.matrix[:, S] - d.g.matrix[:, S]) * col[S] for d in (plain, dual))
     X = M_S @ np.linalg.solve(np.eye(S.size) - M_S[S], M_S[S])
     X += M_S
-    return _max_abs_diff(X, _support_columns(expected, weights)[1])
+    return _max_abs_diff(X, expected)
 
 
 def theorem2_residuals(tables: ChainTables, weights: WeightSet) -> IdentityResiduals:
@@ -381,12 +383,13 @@ def _identity_products(tables: ChainTables, plain: Dualization, dual: Dualizatio
 
 def theorem2_residuals_of(tables: ChainTables, plain: Dualization,
                           dual: Dualization) -> IdentityResiduals:
-    """``theorem2_residuals`` on ready dualizations: ``plain`` at w = 0, ``dual`` at w."""
-    Kc, Ktc = plain.Kc, dual.Kc
-    scale = max(1.0, Kc.max_abs(), Ktc.max_abs())
-    worst = {"resolvent": resolvent_residual(Kc, dual.bases.weight_set, Ktc)}
-    # the checked kernels are done; freeing them keeps check's peak memory down
-    del Kc, Ktc
+    """``theorem2_residuals`` on ready dualizations: ``plain`` at w = 0, ``dual``
+    at w. Neither checked kernel is formed: the scale takes max |K - g| one
+    level-row block at a time."""
+    o = plain.K.offsets
+    scale = max([1.0] + [_max_abs_diff(d.K.matrix[o[i - 1]:o[i]], d.g.matrix[o[i - 1]:o[i]])
+                         for d in (plain, dual) for i in range(1, plain.K.m + 1)])
+    worst = {"resolvent": resolvent_residual(plain, dual)}
     for name, _, product, form in _identity_products(tables, plain, dual):
         worst[name] = max(worst.get(name, 0.0), _max_abs_diff(product, form))
     return IdentityResiduals(scale=scale, **worst)

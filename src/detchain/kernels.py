@@ -175,13 +175,6 @@ def _measure_weights(grids, weights: WeightSet) -> np.ndarray:
     return np.concatenate([g.weights * w for g, w in zip(grids, weights.w)])
 
 
-def _support_columns(kernel: BlockKernel, weights: WeightSet):
-    """S = supp(mu w) and the columns on S of kernel o w; all others vanish."""
-    col = _measure_weights(kernel.grids, weights)
-    S = np.flatnonzero(col)
-    return S, kernel.matrix[:, S] * col[S]
-
-
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b|, with a single temporary; 0 for empty operands."""
     diff = np.subtract(a, b)
@@ -197,8 +190,9 @@ def compose_w(A: BlockKernel, weights: WeightSet, B: BlockKernel) -> BlockKernel
     if A.m != B.m or not all(a.size == b.size and np.array_equal(a.nodes, b.nodes)
                              for a, b in zip(A.grids, B.grids)):
         raise ShapeError("composition requires kernels on the same grids")
-    S, AS = _support_columns(A, weights)
-    matrix = AS @ B.matrix[S]
+    col = _measure_weights(A.grids, weights)
+    S = np.flatnonzero(col)
+    matrix = (A.matrix[:, S] * col[S]) @ B.matrix[S]
     return BlockKernel(matrix=matrix, grids=A.grids, checked=True, rank=None)
 
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import re
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import detchain
-from detchain.cli import main, parse_instance
+from detchain.cli import CONFIG_SCHEMA, _digest, main, parse_instance
 from detchain.instances import monomial_discrete_config, random_discrete_instance
 
 from .conftest import CONFIG_DIR, REPO_ROOT, perfbench_module, soft_m2n2, zero_gap_m2n2
@@ -346,6 +347,15 @@ def test_config_schema_is_valid_2020_12():
     {"chain": {"family": "monomial_exponential", "m": 1, "N": 1},
      "grids": [{"kind": "discrete", "points": [0.0], "masses": ["one"]}],
      "task": {"max_count": -1}},
+    {"chain": {"family": "monomial_exponential", "m": True, "N": 1},
+     "grids": [{"kind": "discrete", "points": [0.0], "masses": [1.0]}]},
+    {"chain": {"family": "monomial_exponential", "m": 1, "N": 1},
+     "grids": [{"kind": "gauss_legendre", "interval": [-1.0, 1.0], "n": 2.5}]},
+    # the kinds are constants, so no grid matches both branches: this one
+    # carries the fields of both and matches neither
+    {"chain": {"family": "monomial_exponential", "m": 1, "N": 1},
+     "grids": [{"kind": "discrete", "interval": [-1.0, 1.0], "n": 2,
+                "points": [0.0], "masses": [1.0]}]},
 ])
 def test_schema_error_is_the_one_jsonschema_validate_picks(raw):
     import jsonschema
@@ -357,6 +367,72 @@ def test_schema_error_is_the_one_jsonschema_validate_picks(raw):
     with pytest.raises(ConfigError) as got:
         parse_instance(raw)
     assert str(got.value).endswith(f": {expected.value.message}")
+
+
+def integer_fields(schema, path=()):
+    """The paths of a schema's integer fields, "*" for every array item."""
+    if schema.get("type") == "integer":
+        yield path
+    for key, sub in schema.get("properties", {}).items():
+        yield from integer_fields(sub, path + (key,))
+    if "items" in schema:
+        yield from integer_fields(schema["items"], path + ("*",))
+    for sub in schema.get("oneOf", ()):
+        yield from integer_fields(sub, path)
+
+
+def float_fields(value, path) -> int:
+    """Turn the ints at ``path`` into floats, in place; returns how many."""
+    key, rest = path[0], path[1:]
+    if key == "*":
+        keys = range(len(value)) if isinstance(value, list) else ()
+    else:
+        keys = (key,) if isinstance(value, dict) and key in value else ()
+    count = 0
+    for k in keys:
+        if rest:
+            count += float_fields(value[k], rest)
+        elif type(value[k]) is int:
+            value[k] = float(value[k])
+            count += 1
+    return count
+
+
+def integer_configs():
+    """A bundled discrete config with a short sampler run, and the quadrature one."""
+    discrete = json.loads(config_path("discrete_m2n2").read_text())
+    discrete["task"]["sampler"] = {"steps": 400, "burn_in": 40, "seed": 3}
+    return [discrete, json.loads(config_path("gauss_chain").read_text())]
+
+
+def outputs(raw, tmp_path, capsys):
+    """Each command's exit code, stdout and CSV rows on the config, the
+    instance digest left out."""
+    path, out = tmp_path / "config.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(raw))
+    found = {}
+    for command in ("check", "gap", "janossy", "correlate", "counts", "sample", "oracle"):
+        out.unlink(missing_ok=True)
+        code = run([command, "--config", path, "--out", out])
+        stdout = capsys.readouterr().out.replace(_digest(raw), "")
+        rows = ([{k: v for k, v in row.items() if k != "instance"} for row in read_csv(out)]
+                if out.exists() else None)
+        found[command] = code, stdout, rows
+    return found
+
+
+@pytest.mark.parametrize("field", sorted(set(integer_fields(CONFIG_SCHEMA))), ids="/".join)
+def test_integral_floats_in_integer_fields_act_as_ints(tmp_path, capsys, field):
+    """Draft 2020-12 counts 2.0 as an integer: a config with an integer field
+    written as a float gives every command's exit code, stdout and CSV of the
+    config with the int."""
+    exercised = 0
+    for raw in integer_configs():
+        floated = copy.deepcopy(raw)
+        if float_fields(floated, field):
+            exercised += 1
+            assert outputs(floated, tmp_path, capsys) == outputs(raw, tmp_path, capsys)
+    assert exercised
 
 
 def test_aliasing_max_count_is_config_error(tmp_path, capsys):

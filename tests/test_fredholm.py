@@ -29,7 +29,7 @@ from detchain import (
     resolvent,
     theorem2_residuals,
 )
-from detchain import cli
+from detchain import cli, kernels
 from detchain.chain import indicators
 from detchain.fredholm import (
     _identity_products,
@@ -705,3 +705,17 @@ def test_check_factors_nothing_larger_than_the_support(tmp_path, monkeypatch):
     orders = factored_orders(monkeypatch)
     assert cli.main(["check", "--config", config]) == 0
     assert orders and max(orders) <= support
+
+
+def test_check_forms_no_checked_kernel(monkeypatch):
+    """check reads the checked kernels' scale and S columns from K and g, so
+    it never makes K - g; the scale is max|K - g| to the last bit."""
+    for tables, ws in structured_cases():
+        plain, dual = dualize(tables, WeightSet.zeros(tables.grids)), dualize(tables, ws)
+        scale = max(1.0, plain.Kc.max_abs(), dual.Kc.max_abs())
+        with monkeypatch.context() as patched:
+            made = []
+            patched.setattr(kernels.Dualization, "Kc", property(made.append))
+            name, _, bound = cli.check_rows(tables, plain, dual, 1.0)[0]
+            assert made == []
+        assert (name, bound) == ("identity_resolvent", scale)
