@@ -33,8 +33,14 @@ tree: each workload config through that workload's commands, every output
 judged by ``References.check`` of ``perfbench/checks.py`` and replayed by
 ``perfbench/replay.py`` (both imported by path, read only). Prints every
 failed check and every replay whose stdout, CSV or exit code differs from
-the command's. Exits 1 if there is any difference, failed check or
-mismatch.
+the command's.
+
+A fourth subprocess pins itself to one CPU with ``os.sched_setaffinity`` and
+runs the working tree's ``check`` on every config again, so that
+``check_rows`` takes its serial path; prints every row that differs from the
+working tree's run, which splits the rows over two threads on the large
+configs when the machine has two CPUs. Exits 1 if there is any difference,
+failed check, mismatch or differing row.
 """
 
 from __future__ import annotations
@@ -126,13 +132,13 @@ def write_configs(directory: Path) -> list[Path]:
     return configs
 
 
-def run_tree(configs: list[str], out_dir: str) -> dict:
+def run_tree(configs: list[str], out_dir: str, commands=COMMANDS) -> dict:
     """Every command on every config through ``detchain.cli.main``, in this process."""
     from detchain import cli
 
     results = {}
     for config in configs:
-        for command in COMMANDS:
+        for command in commands:
             csv_path = Path(out_dir) / f"{Path(config).stem}-{command}.csv"
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -194,6 +200,28 @@ def bench_checks(configs: list[str], out_dir: str) -> dict:
                 if ref != new:
                     found["mismatched"].append(f"{key}: replay differs in {field}")
     return found
+
+
+def run_serial(configs: list[str], out_dir: str) -> dict:
+    """``check`` on every config, with this process pinned to one CPU."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    return run_tree(configs, out_dir, commands=("check",))
+
+
+def serial_moves(new_out: dict, serial_out: dict) -> list[str]:
+    """Every ``check`` row of the one-CPU run that differs from the working
+    tree's run: its residual, bound or status."""
+    notes = []
+    for key, serial in serial_out.items():
+        texts = new_out[key]["csv"], serial["csv"]
+        if None in texts:
+            continue
+        split_rows, serial_rows = ({r["quantity"]: r for r in csv.DictReader(io.StringIO(t))}
+                                   for t in texts)
+        for name, row in serial_rows.items():
+            if split_rows.get(name) != row:
+                notes.append(f"{key}: {name} split {split_rows.get(name)} serial {row}")
+    return notes
 
 
 def start(mode: str, src: Path, configs: list[Path], out_dir: Path) -> subprocess.Popen:
@@ -286,8 +314,8 @@ def numeric_moves(ref_out: dict, new_out: dict) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if argv[:1] in (["--run"], ["--bench"]):
-        run = run_tree if argv[0] == "--run" else bench_checks
+    if argv[:1] in (["--run"], ["--bench"], ["--serial"]):
+        run = {"--run": run_tree, "--bench": bench_checks, "--serial": run_serial}[argv[0]]
         out_dir, configs = argv[1], argv[2:]
         (Path(out_dir) / "results.json").write_text(json.dumps(run(configs, out_dir)))
         return 0
@@ -301,30 +329,34 @@ def main(argv: list[str]) -> int:
         (tmp / "configs").mkdir()
         configs = write_configs(tmp / "configs")
         runs = {"ref": ("--run", tmp / "ref" / "src"), "tree": ("--run", REPO / "src"),
-                "bench": ("--bench", REPO / "src")}
+                "bench": ("--bench", REPO / "src"), "serial": ("--serial", REPO / "src")}
         procs = {label: start(mode, src, configs, tmp / f"out-{label}")
                  for label, (mode, src) in runs.items()}
         if any([proc.wait() != 0 for proc in procs.values()]):  # wait for all
             print("a tree's run failed", file=sys.stderr)
             return 2
-        ref_out, new_out, bench = (
+        ref_out, new_out, bench, serial_out = (
             json.loads((tmp / f"out-{label}" / "results.json").read_text())
             for label in runs)
     differences = [describe(key, field, ref_out[key][field], new_out[key][field])
                    for key in ref_out for field in FIELDS
                    if ref_out[key][field] != new_out[key][field]]
+    serial = serial_moves(new_out, serial_out)
     for line in differences + check_moves(ref_out, new_out) \
-            + numeric_moves(ref_out, new_out) + bench["failed"] + bench["mismatched"]:
+            + numeric_moves(ref_out, new_out) + bench["failed"] + bench["mismatched"] \
+            + serial:
         print(line)
     print(f"{len(ref_out)} command/config pairs against {ref}, "
           f"{len(differences)} differences")
     print(f"benchmark checks on the working tree: {bench['pairs']} command/config "
           f"pairs, {len(bench['failed'])} failed checks, {len(bench['mismatched'])} "
           "replay mismatches")
-    return 1 if differences or bench["failed"] or bench["mismatched"] else 0
+    print(f"check pinned to one CPU against the working tree's run: {len(serial_out)} "
+          f"configs, {len(serial)} differing rows")
+    return 1 if differences or bench["failed"] or bench["mismatched"] or serial else 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] not in (["--run"], ["--bench"]):  # these import PYTHONPATH's tree
+    if sys.argv[1:2] not in (["--run"], ["--bench"], ["--serial"]):  # PYTHONPATH's tree
         sys.path.insert(0, str(REPO / "src"))
     sys.exit(main(sys.argv[1:]))

@@ -18,7 +18,9 @@ import csv
 import hashlib
 import json
 import numbers
+import os
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,7 +57,7 @@ from .fredholm import (
 )
 from .kernels import (
     Dualization,
-    _max_abs_diff,
+    construction_residual,
     dualize,
     factorization_residual,
     kernel_via_inverse,
@@ -426,30 +428,86 @@ def _verdicts(inst: InstanceConfig, rows, width: int, describe):
 # commands: each gets the instance and its plain (w = 0) dualization, prints its
 # stdout and returns (exit code, CSV header, CSV rows)
 
+# check splits its rows over two threads above this many nodes in all
+# (docs/conventions.md, "check's products")
+SPLIT_ABOVE = 256
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _alongside(side, main):
+    """(side(), main()), with side() run on a second thread while main() runs
+    on this one. An exception of either is raised once both have finished,
+    main()'s first, as if side() had run after main()."""
+    result = []
+
+    def run():
+        try:
+            result.append((True, side()))
+        except BaseException as exc:  # raised again in this thread, after join
+            result.append((False, exc))
+
+    thread = threading.Thread(target=run, name="detchain-check-kernel-rows")
+    thread.start()
+    try:
+        mine = main()
+    finally:
+        thread.join()
+    ok, value = result[0]
+    if not ok:
+        raise value
+    return value, mine
+
+
 def check_rows(tables: ChainTables, plain: Dualization, dual: Dualization, tol: float):
     """``check``'s rows (name, residual, bound) in CSV order, read from the
     plain (w = 0) and dual (w) records; docs/outputs.md states the bounds.
-    Each record's K is scanned once for its scale."""
+    Each record's K is scanned once for its scale.
+
+    On a process with two or more CPUs and more than SPLIT_ABOVE nodes in
+    all, a second thread judges the kernel rows (construction invariance and
+    both factorizations) while this one judges the identity rows; both run
+    the same functions on the same arrays as the serial order, so every row
+    is the same to the last bit. Both records' K and g are formed first,
+    since a kernel forms its matrix on the first read without a lock.
+    """
     weights = dual.bases.weight_set
     records = (("plain", plain), ("dual", dual))
-    res = theorem2_residuals_of(tables, plain, dual)
+    for _, d in records:
+        d.K.matrix, d.g.matrix
+
+    def identity_rows():
+        return (theorem2_residuals_of(tables, plain, dual),
+                transfer_resolvent_residual(dual.g, weights, plain.g),
+                {label: max(1.0, d.K.max_abs()) for label, d in records})
+
+    def kernel_rows():
+        via = kernel_via_inverse(tables, weights)
+        return [construction_residual(dual.K, via)] + [
+            factorization_residual(d.K, d.g, tables, d.bases.weight_set)
+            for _, d in records]
+
+    if plain.K.offsets[-1] > SPLIT_ABOVE and _cpus() > 1:
+        kernel, (res, transfer, scale) = _alongside(kernel_rows, identity_rows)
+    else:
+        (res, transfer, scale), kernel = identity_rows(), kernel_rows()
     rows = [(f"identity_{name}", value, tol * res.scale)
             for name, value in res.as_dict().items()]
-    rows.append(("transfer_resolvent", transfer_resolvent_residual(dual.g, weights, plain.g),
-                 tol * res.scale))
+    rows.append(("transfer_resolvent", transfer, tol * res.scale))
     rows += [(f"biorthogonality_{label}", d.bases.biorthogonality_residual, tol)
              for label, d in records]
     rows += [(f"pairing_expressions_{label}", d.bases.expression_gap,
               1e-11 * max(1.0, float(np.max(np.abs(d.bases.decomposition.A)))))
              for label, d in records]
-    scale = {label: max(1.0, d.K.max_abs()) for label, d in records}
-    rows.append(("construction_invariance",
-                 _max_abs_diff(dual.K.matrix, kernel_via_inverse(tables, weights).matrix),
-                 1e-12 * scale["dual"]))
-    rows += [(f"factorization_{label}",
-              factorization_residual(d.K, d.g, tables, d.bases.weight_set),
-              1e-11 * scale[label])
-             for label, d in records]
+    rows.append(("construction_invariance", kernel[0], 1e-12 * scale["dual"]))
+    rows += [(f"factorization_{label}", value, 1e-11 * scale[label])
+             for (label, _), value in zip(records, kernel[1:])]
     return rows
 
 

@@ -47,11 +47,16 @@ from .biortho import DualBases, check_conditioning, dual_masses, walk
 from .chain import ChainTables, WeightSet, check_weights, indicators, point_lists
 from .errors import StateError
 from .kernels import (
+    _CHUNK,
     BlockKernel,
     Dualization,
+    _blocks,
+    _chunks,
+    _column_chunks,
     _max_abs_diff,
     _measure_weights,
     _transfers,
+    _worst,
     build_g,
     dualize,
 )
@@ -296,14 +301,27 @@ def resolvent_residual(plain: Dualization, dual: Dualization) -> float:
     With M_S the S columns of M = Kc o w and M_SS their S rows,
     X = M_S + M_S (1 - M_SS)^{-1} M_SS solves (1 - M) X = M_S, since
     M X = M_S X_S: the reference is a dense LU of the |S|-square 1 - M_SS,
-    independent of the walked route.
+    independent of the walked route. The LU is taken before M_S is formed,
+    M_S is filled in row chunks, and the dual record's side is read one row
+    chunk at a time against X, so the largest arrays held at once are M_S,
+    X and (1 - M_SS)^{-1} M_SS.
     """
     col = _measure_weights(plain.K.grids, dual.bases.weight_set)
     S = np.flatnonzero(col)
-    M_S, expected = ((d.K.matrix[:, S] - d.g.matrix[:, S]) * col[S] for d in (plain, dual))
-    X = M_S @ np.linalg.solve(np.eye(S.size) - M_S[S], M_S[S])
+    K, g = plain.K.matrix, plain.g.matrix
+    M_SS = (K[S[:, None], S] - g[S[:, None], S]) * col[S]
+    Y = np.linalg.solve(np.eye(S.size) - M_SS, M_SS)
+    del M_SS
+    chunks = _chunks(len(col), max(2, _CHUNK // max(S.size, 1)))
+    M_S = np.empty((len(col), S.size))
+    for rows in chunks:
+        M_S[rows] = (K[rows, S] - g[rows, S]) * col[S]
+    X = M_S @ Y
     X += M_S
-    return _max_abs_diff(X, expected)
+    del M_S
+    Kt, gt = dual.K.matrix, dual.g.matrix
+    return _worst(_max_abs_diff(X[rows], (Kt[rows, S] - gt[rows, S]) * col[S])
+                  for rows in chunks)
 
 
 def theorem2_residuals(tables: ChainTables, weights: WeightSet) -> IdentityResiduals:
@@ -336,15 +354,19 @@ def _lower_product(g: BlockKernel, col: np.ndarray, i: int, rows) -> np.ndarray:
 
 def _identity_products(tables: ChainTables, plain: Dualization, dual: Dualization):
     """The four composition products and the checked product, one level-row
-    block at a time, each beside the form the identity says it equals.
+    block and column chunk at a time, each beside the form the identity says
+    it equals.
 
-    Yields (name, level, product, form) with the level-i row blocks of both.
-    With K = Psi^T Phi and dual-K = dual-Psi^T dual-Phi, the products come
-    from the rank-N factors: K o_w dual-K = Psi^T ((Phi mu w) dual-Psi^T)
-    dual-Phi, K o_w dual-g = Psi^T ((Phi mu w) dual-g) and g o_w dual-K =
-    (g mu w dual-Psi^T) dual-Phi; g o_w dual-g sums over the nonzero lower
-    blocks only. The endpoint forms walk the N rows of dual-psi on level 1
-    up the plain chain and of phi on level m down the dualized one.
+    Yields (name, level, cols, product, form) with the entries of both on the
+    level-i rows and the columns ``cols``. With K = Psi^T Phi and
+    dual-K = dual-Psi^T dual-Phi, the products come from the rank-N factors:
+    K o_w dual-K = Psi^T ((Phi mu w) dual-Psi^T) dual-Phi, K o_w dual-g =
+    Psi^T ((Phi mu w) dual-g) and g o_w dual-K = (g mu w dual-Psi^T) dual-Phi;
+    g o_w dual-g sums over the nonzero lower blocks only. The endpoint forms
+    walk the N rows of dual-psi on level 1 up the plain chain and of phi on
+    level m down the dualized one. Only products over the N factor rows are
+    cut into column chunks; the sums over nodes are formed whole, as N-row
+    factors or, for g o_w dual-g, per level.
     """
     weights = dual.bases.weight_set
     K, g, Kt, gt = plain.K, plain.g, dual.K, dual.g
@@ -366,33 +388,37 @@ def _identity_products(tables: ChainTables, plain: Dualization, dual: Dualizatio
     gt_lower = [gt.matrix[o[j - 1]:o[j], :o[j - 1]] for j in range(1, K.m + 1)]
     for i in range(1, K.m + 1):
         r = slice(o[i - 1], o[i])
-        psi = plain.bases.psi[i - 1].T
-        KK, KG = psi @ kk, psi @ kg
-        GK = ((g.matrix[r, S] * col[S]) @ psit_S) @ phit
-        GG = np.zeros_like(KK)
-        GG[:, :o[max(i - 2, 0)]] = _lower_product(g, col, i, gt_lower)
-        left_i, right_i = left[:, r].T @ phit, psi @ right
-        yield "kernel_kernel", i, KK, left_i - right_i
-        yield "kernel_transfer", i, KG, K.matrix[r] - right_i
-        yield "transfer_kernel", i, GK, left_i - Kt.matrix[r]
-        del left_i, right_i
-        yield "transfer_transfer", i, GG, g.matrix[r] - gt.matrix[r]
-        yield ("checked_product", i, KK - KG - GK + GG,
-               (Kt.matrix[r] - gt.matrix[r]) - (K.matrix[r] - g.matrix[r]))
+        psi, left_i = plain.bases.psi[i - 1].T, left[:, r].T
+        gk = (g.matrix[r, S] * col[S]) @ psit_S
+        gg = _lower_product(g, col, i, gt_lower)
+        for cols in _column_chunks(o, i):
+            KK, KG, GK = psi @ kk[:, cols], psi @ kg[:, cols], gk @ phit[:, cols]
+            GG = np.zeros_like(KK)
+            lower = gg[:, cols]
+            GG[:, :lower.shape[1]] = lower
+            left_c, right_c = left_i @ phit[:, cols], psi @ right[:, cols]
+            K_c, g_c, Kt_c, gt_c = (x.matrix[r, cols] for x in (K, g, Kt, gt))
+            yield "kernel_kernel", i, cols, KK, left_c - right_c
+            yield "kernel_transfer", i, cols, KG, K_c - right_c
+            yield "transfer_kernel", i, cols, GK, left_c - Kt_c
+            yield "transfer_transfer", i, cols, GG, g_c - gt_c
+            yield "checked_product", i, cols, KK - KG - GK + GG, (Kt_c - gt_c) - (K_c - g_c)
 
 
 def theorem2_residuals_of(tables: ChainTables, plain: Dualization,
                           dual: Dualization) -> IdentityResiduals:
     """``theorem2_residuals`` on ready dualizations: ``plain`` at w = 0, ``dual``
     at w. Neither checked kernel is formed: the scale takes max |K - g| one
-    level-row block at a time."""
-    o = plain.K.offsets
-    scale = max([1.0] + [_max_abs_diff(d.K.matrix[o[i - 1]:o[i]], d.g.matrix[o[i - 1]:o[i]])
-                         for d in (plain, dual) for i in range(1, plain.K.m + 1)])
-    worst = {"resolvent": resolvent_residual(plain, dual)}
-    for name, _, product, form in _identity_products(tables, plain, dual):
-        worst[name] = max(worst.get(name, 0.0), _max_abs_diff(product, form))
-    return IdentityResiduals(scale=scale, **worst)
+    level-row block and column chunk at a time, and every residual is judged
+    the same way."""
+    scale = max(1.0, _worst(_max_abs_diff(d.K.matrix[rows, cols], d.g.matrix[rows, cols])
+                            for d in (plain, dual)
+                            for _, rows, cols in _blocks(plain.K.offsets)))
+    values = {"resolvent": [resolvent_residual(plain, dual)]}
+    for name, _, _, product, form in _identity_products(tables, plain, dual):
+        values.setdefault(name, []).append(_max_abs_diff(product, form))
+    return IdentityResiduals(scale=scale,
+                             **{name: _worst(v) for name, v in values.items()})
 
 
 def _transfer_resolvent_rows(gt: BlockKernel, weights: WeightSet):
@@ -421,8 +447,8 @@ def transfer_resolvent_residual(gt: BlockKernel, weights: WeightSet,
     """
     col = _measure_weights(g.grids, weights)
     o = g.offsets
-    return max(_max_abs_diff(X, g.matrix[o[i - 1]:o[i], :o[i - 1]] * col[:o[i - 1]])
-               for i, X in _transfer_resolvent_rows(gt, weights))
+    return _worst(_max_abs_diff(X, g.matrix[o[i - 1]:o[i], :o[i - 1]] * col[:o[i - 1]])
+                  for i, X in _transfer_resolvent_rows(gt, weights))
 
 
 def g_resolvent_residual(tables: ChainTables, weights: WeightSet) -> float:

@@ -47,13 +47,15 @@ class BlockKernel:
     read of ``matrix``. ``source`` is what the kernel was made from: the
     dual bases for ``build_K``'s kernel and for a checked kernel that keeps
     its dualization (see ``check_kernel``), the pair (tables, weights) for
-    ``build_g``'s, and None otherwise. No attribute can be added later.
+    ``build_g``'s, the two walked factors for ``kernel_via_inverse``'s, and
+    None otherwise. No attribute can be added later.
     """
 
     __slots__ = ("grids", "offsets", "checked", "rank", "source", "_form", "_matrix")
 
     def __init__(self, matrix, grids, checked: bool, rank: int | None = None,
-                 source: DualBases | tuple[ChainTables, WeightSet] | None = None):
+                 source: DualBases | tuple[ChainTables, WeightSet]
+                 | tuple[np.ndarray, np.ndarray] | None = None):
         self.grids = tuple(grids)
         self.offsets = tuple(np.cumsum([0] + [g.size for g in self.grids]).tolist())
         self.checked, self.rank, self.source = checked, rank, source
@@ -84,7 +86,13 @@ class BlockKernel:
         return self.matrix[o[i - 1]:o[i], o[j - 1]:o[j]]
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.matrix), initial=0.0))
+        """max |matrix|, read off its largest and smallest entries: exact, and
+        no copy of the matrix is made."""
+        matrix = self.matrix
+        if matrix.size == 0:
+            return 0.0
+        # a NaN entry makes both extremes NaN, and max keeps its first argument
+        return float(max(matrix.max(), -matrix.min(), 0.0))
 
 
 def build_K(bases: DualBases) -> BlockKernel:
@@ -175,10 +183,59 @@ def _measure_weights(grids, weights: WeightSet) -> np.ndarray:
     return np.concatenate([g.weights * w for g, w in zip(grids, weights.w)])
 
 
+# entries in one streamed temporary, 256 KB of float64
+_CHUNK = 1 << 15
+
+
+def _chunks(n: int, width: int) -> list[slice]:
+    """range(n) cut into ceil(n / width) slices of near-equal length, so that
+    no slice of a longer range is narrower than width / 2."""
+    if n <= width:
+        return [slice(0, n)]
+    k = -(-n // width)
+    cuts = [n * j // k for j in range(k + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _column_chunks(offsets, i: int) -> list[slice]:
+    """The column chunks of level-row block i of a kernel with these offsets,
+    about _CHUNK entries each: one chunk on small kernels."""
+    return _chunks(offsets[-1], max(8, _CHUNK // (offsets[i] - offsets[i - 1])))
+
+
+def _blocks(offsets) -> list[tuple[int, slice, slice]]:
+    """(i, rows, cols) over the level-row blocks i = 1..m of a kernel with
+    these offsets, each cut into its column chunks."""
+    return [(i, slice(offsets[i - 1], offsets[i]), cols) for i in range(1, len(offsets))
+            for cols in _column_chunks(offsets, i)]
+
+
+def _worst(values) -> float:
+    """The largest of the values, 0 for none; the first NaN among them is
+    returned at once."""
+    worst = 0.0
+    for value in values:
+        if value != value:
+            return float(value)
+        worst = max(worst, value)
+    return float(worst)
+
+
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b|, with a single temporary; 0 for empty operands."""
-    diff = np.subtract(a, b)
-    return float(np.max(np.abs(diff, out=diff), initial=0.0))
+    """max |a - b| over operands of one shape, taken over row chunks of about
+    _CHUNK entries in one reused buffer; 0 for empty operands, NaN if any
+    difference is NaN."""
+    if a.ndim < 2 or a.size <= _CHUNK:
+        diff = np.subtract(a, b)
+        return float(np.abs(diff, out=diff).max(initial=0.0))
+    step = max(1, _CHUNK // a.shape[1])
+    buffer = np.empty((step, a.shape[1]))
+
+    def chunk(start):
+        diff = np.subtract(a[start:start + step], b[start:start + step],
+                           out=buffer[:min(step, len(a) - start)])
+        return np.abs(diff, out=diff).max()
+    return _worst(map(chunk, range(0, len(a), step)))
 
 
 def compose_w(A: BlockKernel, weights: WeightSet, B: BlockKernel) -> BlockKernel:
@@ -202,15 +259,28 @@ def kernel_via_inverse(tables: ChainTables, weights: WeightSet) -> BlockKernel:
     f walked up the chain and A^{-T} h walked down it give every block as
     K_ij = f_i^T A^{-T} h_j, since the dual bases are (PL)^{-1} f and
     U^{-T} h walked the same way. Serves as an independent construction
-    oracle for build_K.
+    oracle for build_K. The kernel keeps the two walked factors, each
+    N x (sum n_j) with the levels stacked, as its ``source``, and forms its
+    matrix on the first read.
     """
     A = pairing_matrix(tables, weights)
     check_conditioning(A)
     e = dual_masses(tables, weights)
-    left = walk(tables, e, tables.f_values, 1, upward=True)
-    right = walk(tables, e, np.linalg.solve(A.T, tables.h_values), tables.m, upward=False)
-    return BlockKernel(matrix=np.hstack(left).T @ np.hstack(right), grids=tables.grids,
-                       checked=False, rank=tables.N)
+    left = np.hstack(walk(tables, e, tables.f_values, 1, upward=True))
+    right = np.hstack(walk(tables, e, np.linalg.solve(A.T, tables.h_values), tables.m,
+                           upward=False))
+    return BlockKernel(matrix=lambda: left.T @ right, grids=tables.grids, checked=False,
+                       rank=tables.N, source=(left, right))
+
+
+def construction_residual(K: BlockKernel, via: BlockKernel) -> float:
+    """max |K - via| for ``via`` from ``kernel_via_inverse``, judged one
+    level-row block and column chunk at a time against its two walked
+    factors: the product is never formed whole. Each entry of a chunk is the
+    same N-term sum as in the formed matrix."""
+    left, right = via.source
+    return _worst(_max_abs_diff(K.matrix[rows, cols], left[:, rows].T @ right[:, cols])
+                  for _, rows, cols in _blocks(K.offsets))
 
 
 def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,
@@ -226,7 +296,8 @@ def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,
     walk of psi^(j), so on psi^T phi the adjacent relations would hold to
     the last bit and judge nothing. At each level i they are judged on row
     block i (corner; down, from i - 1) and column block i (up, from i + 1),
-    so no (sum n_j)^2 temporary is formed.
+    so no (sum n_j)^2 temporary is formed; each difference is judged in
+    row chunks.
     """
     e = dual_masses(tables, weights)
     o = K.offsets
@@ -234,20 +305,25 @@ def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,
     if m == 1:
         return 0.0
     M = K.matrix
-    # block (1, m) carried down its rows by g_i1 diag(e_1), then across its
-    # columns by diag(e_m) g_mj; g's zero blocks (1, 1) and (m, m) are skipped
-    carried = e[0][:, None] * K.block(1, m)
-    across = g.matrix[o[-2]:, :o[-2]]
-    worst = 0.0
-    for i in range(1, m + 1):
-        r = slice(o[i - 1], o[i])
-        cols = K.block(1, m) if i == 1 else g.block(i, 1) @ carried
-        worst = max(worst, _max_abs_diff(M[r, o[-2]:], cols),
-                    _max_abs_diff(M[r, :o[-2]], (cols * e[-1][None, :]) @ across))
-        if i > 1:
-            worst = max(worst, _max_abs_diff(
-                M[r], tables.g_values[i - 2] @ (e[i - 2][:, None] * M[o[i - 2]:o[i - 1]])))
-        if i < m:
-            worst = max(worst, _max_abs_diff(
-                M[:, r], (M[:, o[i]:o[i + 1]] * e[i][None, :]) @ tables.g_values[i - 1]))
-    return worst
+
+    def corners():
+        # block (1, m) carried down its rows by g_i1 diag(e_1), then across its
+        # columns by diag(e_m) g_mj; g's zero blocks (1, 1) and (m, m) are skipped
+        carried = e[0][:, None] * K.block(1, m)
+        across = g.matrix[o[-2]:, :o[-2]]
+        for i in range(1, m + 1):
+            r = slice(o[i - 1], o[i])
+            cols = K.block(1, m) if i == 1 else g.block(i, 1) @ carried
+            yield _max_abs_diff(M[r, o[-2]:], cols)
+            yield _max_abs_diff(M[r, :o[-2]], (cols * e[-1][None, :]) @ across)
+
+    # the corner relations' temporaries are freed before the adjacent ones,
+    # which hold the largest: a level block of M scaled and its product
+    worst = list(corners())
+    worst += [_max_abs_diff(M[o[i - 1]:o[i]], tables.g_values[i - 2]
+                            @ (e[i - 2][:, None] * M[o[i - 2]:o[i - 1]]))
+              for i in range(2, m + 1)]
+    worst += [_max_abs_diff(M[:, o[i - 1]:o[i]], (M[:, o[i]:o[i + 1]] * e[i][None, :])
+                            @ tables.g_values[i - 1])
+              for i in range(1, m)]
+    return _worst(worst)

@@ -1,3 +1,5 @@
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -416,10 +418,12 @@ def structured_cases():
                 yield tables, ws
 
 
-def test_structured_products_match_compose_w():
+def test_structured_products_match_compose_w(tmp_path):
     """Every product of the identity suite, formed from the rank-N factors and
-    g's lower blocks, equals the dense compose_w product row block by row block."""
-    for tables, ws in structured_cases():
+    g's lower blocks, equals the dense compose_w product row block by row
+    block, also where gl_chain's row blocks are cut into column chunks."""
+    gl = workload_instances("gl_chain", 1, [0], tmp_path)[0]
+    for tables, ws in [*structured_cases(), (gl.tables, gl.weights)]:
         plain, dual = dualize(tables, WeightSet.zeros(tables.grids)), dualize(tables, ws)
         scale = theorem2_residuals_of(tables, plain, dual).scale
         dense = {
@@ -430,9 +434,9 @@ def test_structured_products_match_compose_w():
             "checked_product": compose_w(plain.Kc, ws, dual.Kc),
         }
         seen = set()
-        for name, i, product, _ in _identity_products(tables, plain, dual):
+        for name, i, cols, product, _ in _identity_products(tables, plain, dual):
             o = plain.K.offsets
-            ref = dense[name].matrix[o[i - 1]:o[i]]
+            ref = dense[name].matrix[o[i - 1]:o[i], cols]
             assert np.max(np.abs(product - ref)) <= 1e-13 * scale, (name, i)
             seen.add((name, i))
         assert len(seen) == 5 * tables.m
@@ -719,3 +723,77 @@ def test_check_forms_no_checked_kernel(monkeypatch):
             name, _, bound = cli.check_rows(tables, plain, dual, 1.0)[0]
             assert made == []
         assert (name, bound) == ("identity_resolvent", scale)
+
+
+def test_check_memory_stays_below_two_kernel_arrays(tmp_path, monkeypatch):
+    """The tracemalloc peak of check_rows on gl_chain seed 1, config 0, with
+    both records' K and g formed and both threads counted, stays below 2
+    (sum n_j)^2 arrays, on the serial path and on the split. The bound is the
+    largest temporaries that can be live at once: the resolvent reference
+    holds M_S, X and (1 - M_SS)^{-1} M_SS (about one array at |S| = 315 of
+    768) while the factorization holds a scaled level block of K and its
+    product (2/3 of one), plus the streamed chunks. Whole-matrix row
+    judgement needed 3.02."""
+    inst = workload_instances("gl_chain", 1, [0], tmp_path)[0]
+    tables = inst.tables
+    plain, dual = dualize(tables, WeightSet.zeros(tables.grids)), dualize(tables, inst.weights)
+    for record in (plain, dual):
+        record.K.matrix, record.g.matrix
+    full = plain.K.matrix.nbytes
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli.check_rows(tables, plain, dual, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * full, (cpus, peak / full)
+
+
+def split_cases(tmp_path):
+    """gl_chain seed 1, configs 0-2, and structured_cases()."""
+    for inst in workload_instances("gl_chain", 1, range(3), tmp_path):
+        yield inst.tables, inst.weights
+    yield from structured_cases()
+
+
+def test_split_rows_are_the_serial_rows_bit_for_bit(tmp_path, monkeypatch):
+    """check_rows on one CPU and split over two threads, down to the smallest
+    instances, give the same rows to the last bit."""
+    splits = []
+    alongside = cli._alongside
+    monkeypatch.setattr(cli, "_alongside", lambda *a: splits.append(1) or alongside(*a))
+    count = 0
+    for tables, ws in split_cases(tmp_path):
+        plain, dual = dualize(tables, WeightSet.zeros(tables.grids)), dualize(tables, ws)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_cpus", lambda: 1)
+            serial = cli.check_rows(tables, plain, dual, 1e-10)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_cpus", lambda: 2)
+            patched.setattr(cli, "SPLIT_ABOVE", 0)
+            split = cli.check_rows(tables, plain, dual, 1e-10)
+        assert split == serial
+        count += 1
+    assert len(splits) == count == 3 + 36
+
+
+def test_refusal_on_the_kernel_thread_exits_3(tmp_path, monkeypatch, capsys):
+    """A SingularPairing raised on the second thread reaches main as a
+    refusal: check exits 3, and no thread is left running."""
+    config = str(perfbench_module("workloads").WORKLOADS["gl_chain"](1, tmp_path)
+                 .config_for(0))
+    raised_on = []
+
+    def singular(tables, weights):
+        raised_on.append(threading.current_thread())
+        raise SingularPairing("pairing matrix is numerically singular (test)")
+    monkeypatch.setattr(cli, "kernel_via_inverse", singular)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    threads = threading.active_count()
+    assert cli.main(["check", "--config", config]) == 3
+    assert "SingularPairing" in capsys.readouterr().err
+    assert raised_on and raised_on[0] is not threading.main_thread()
+    assert threading.active_count() == threads
