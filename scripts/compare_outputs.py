@@ -26,21 +26,12 @@ reads exactly 0.0 where REF's does not. For every other command it prints
 the largest absolute and the largest relative move of each numeric output
 (the values, the count probabilities, ``oracle``'s library column and
 ``sample``'s reference and z-score), and lists every ``oracle`` row whose
-status flips.
+status flips. Exits 1 if there is any difference.
 
-A third subprocess runs the benchmark's own correctness test on the working
-tree: each workload config through that workload's commands, every output
-judged by ``References.check`` of ``perfbench/checks.py`` and replayed by
-``perfbench/replay.py`` (both imported by path, read only). Prints every
-failed check and every replay whose stdout, CSV or exit code differs from
-the command's.
-
-A fourth subprocess pins itself to one CPU with ``os.sched_setaffinity`` and
-runs the working tree's ``check`` on every config again, so that
-``check_rows`` takes its serial path; prints every row that differs from the
-working tree's run, which splits the rows over two threads on the large
-configs when the machine has two CPUs. Exits 1 if there is any difference,
-failed check, mismatch or differing row.
+The script compares two trees and nothing else. The benchmark's checks and
+replay on the workload configs, and ``check`` on one CPU against the split
+run, are Tier-1 tests (``tests/test_benchmark_smoke.py``,
+``tests/test_fredholm.py``).
 """
 
 from __future__ import annotations
@@ -123,7 +114,6 @@ def write_configs(directory: Path) -> list[Path]:
             configs.append(directory / f"{name}-{cycle}.json")
             # some workloads rewrite one file per cycle: copy it out at once
             shutil.copyfile(workload.config_for(cycle), configs[-1])
-    # the stem keeps its workload's name, so the benchmark's checks run on it too
     for seed, cycle in WORST_CONDITIONED:
         configs.append(directory / f"discrete_verify-s{seed}c{cycle}.json")
         shutil.copyfile(workloads.WORKLOADS["discrete_verify"](seed, scratch)
@@ -132,13 +122,13 @@ def write_configs(directory: Path) -> list[Path]:
     return configs
 
 
-def run_tree(configs: list[str], out_dir: str, commands=COMMANDS) -> dict:
+def run_tree(configs: list[str], out_dir: str) -> dict:
     """Every command on every config through ``detchain.cli.main``, in this process."""
     from detchain import cli
 
     results = {}
     for config in configs:
-        for command in commands:
+        for command in COMMANDS:
             csv_path = Path(out_dir) / f"{Path(config).stem}-{command}.csv"
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -153,82 +143,11 @@ def run_tree(configs: list[str], out_dir: str, commands=COMMANDS) -> dict:
     return results
 
 
-def bench_checks(configs: list[str], out_dir: str) -> dict:
-    """The benchmark's checks and replay on each workload config, as it runs them.
-
-    Returns the number of command/config pairs run, one line per failed
-    check and one per replay that differs from the command.
-    """
-    from detchain import cli
-
-    checks, replay, workloads = map(load_perfbench, ("checks", "replay", "workloads"))
-    refs = checks.References()
-    csv_path = Path(out_dir) / "out.csv"
-    found = {"pairs": 0, "failed": [], "mismatched": []}
-    for config in configs:
-        workload = Path(config).stem.rsplit("-", 1)[0]
-        if workload not in WORKLOAD_CYCLES:
-            continue
-        inst = cli.load_instance(config)
-        for command_id, command in enumerate(workloads.WORKLOADS[workload].commands):
-            key = f"{Path(config).stem} {command}"
-            found["pairs"] += 1
-            argv = [command, "--config", config, "--out", str(csv_path)]
-            csv_path.unlink(missing_ok=True)
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                try:
-                    code = cli.main(argv)
-                except Exception as exc:
-                    found["failed"].append(f"{key}: check failed: raised "
-                                           f"{type(exc).__name__}: {exc}")
-                    continue
-            # the CSV writer ends rows with \r\n; the replay is compared as written
-            csv_text = ""
-            if csv_path.exists():
-                with open(csv_path, newline="") as fh:
-                    csv_text = fh.read()
-            outcome = refs.check(command, inst, code, stdout.getvalue(), csv_text)
-            if outcome.failed:
-                found["failed"].append(f"{key}: check failed: "
-                                       + "; ".join(outcome.notes))
-            replayed = replay.replay(replay.Tracer(), argv, command_id)
-            for field, ref, new in (("stdout", stdout.getvalue(), replayed.stdout),
-                                    ("csv", csv_text, replayed.csv),
-                                    ("exit code", code, replayed.exit_code)):
-                if ref != new:
-                    found["mismatched"].append(f"{key}: replay differs in {field}")
-    return found
-
-
-def run_serial(configs: list[str], out_dir: str) -> dict:
-    """``check`` on every config, with this process pinned to one CPU."""
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    return run_tree(configs, out_dir, commands=("check",))
-
-
-def serial_moves(new_out: dict, serial_out: dict) -> list[str]:
-    """Every ``check`` row of the one-CPU run that differs from the working
-    tree's run: its residual, bound or status."""
-    notes = []
-    for key, serial in serial_out.items():
-        texts = new_out[key]["csv"], serial["csv"]
-        if None in texts:
-            continue
-        split_rows, serial_rows = ({r["quantity"]: r for r in csv.DictReader(io.StringIO(t))}
-                                   for t in texts)
-        for name, row in serial_rows.items():
-            if split_rows.get(name) != row:
-                notes.append(f"{key}: {name} split {split_rows.get(name)} serial {row}")
-    return notes
-
-
-def start(mode: str, src: Path, configs: list[Path], out_dir: Path) -> subprocess.Popen:
+def start(src: Path, configs: list[Path], out_dir: Path) -> subprocess.Popen:
     out_dir.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return subprocess.Popen([sys.executable, __file__, mode, str(out_dir),
+    return subprocess.Popen([sys.executable, __file__, "--run", str(out_dir),
                              *map(str, configs)], env=env)
 
 
@@ -314,10 +233,9 @@ def numeric_moves(ref_out: dict, new_out: dict) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if argv[:1] in (["--run"], ["--bench"], ["--serial"]):
-        run = {"--run": run_tree, "--bench": bench_checks, "--serial": run_serial}[argv[0]]
+    if argv[:1] == ["--run"]:
         out_dir, configs = argv[1], argv[2:]
-        (Path(out_dir) / "results.json").write_text(json.dumps(run(configs, out_dir)))
+        (Path(out_dir) / "results.json").write_text(json.dumps(run_tree(configs, out_dir)))
         return 0
     ref = argv[0] if argv else "HEAD"
     with tempfile.TemporaryDirectory() as tmp:
@@ -328,35 +246,24 @@ def main(argv: list[str]) -> int:
             tar.extractall(tmp / "ref", filter="data")
         (tmp / "configs").mkdir()
         configs = write_configs(tmp / "configs")
-        runs = {"ref": ("--run", tmp / "ref" / "src"), "tree": ("--run", REPO / "src"),
-                "bench": ("--bench", REPO / "src"), "serial": ("--serial", REPO / "src")}
-        procs = {label: start(mode, src, configs, tmp / f"out-{label}")
-                 for label, (mode, src) in runs.items()}
-        if any([proc.wait() != 0 for proc in procs.values()]):  # wait for all
+        runs = {"ref": tmp / "ref" / "src", "tree": REPO / "src"}
+        procs = [start(src, configs, tmp / f"out-{label}") for label, src in runs.items()]
+        if any([proc.wait() != 0 for proc in procs]):  # wait for both
             print("a tree's run failed", file=sys.stderr)
             return 2
-        ref_out, new_out, bench, serial_out = (
-            json.loads((tmp / f"out-{label}" / "results.json").read_text())
-            for label in runs)
+        ref_out, new_out = (json.loads((tmp / f"out-{label}" / "results.json").read_text())
+                            for label in runs)
     differences = [describe(key, field, ref_out[key][field], new_out[key][field])
                    for key in ref_out for field in FIELDS
                    if ref_out[key][field] != new_out[key][field]]
-    serial = serial_moves(new_out, serial_out)
-    for line in differences + check_moves(ref_out, new_out) \
-            + numeric_moves(ref_out, new_out) + bench["failed"] + bench["mismatched"] \
-            + serial:
+    for line in differences + check_moves(ref_out, new_out) + numeric_moves(ref_out, new_out):
         print(line)
     print(f"{len(ref_out)} command/config pairs against {ref}, "
           f"{len(differences)} differences")
-    print(f"benchmark checks on the working tree: {bench['pairs']} command/config "
-          f"pairs, {len(bench['failed'])} failed checks, {len(bench['mismatched'])} "
-          "replay mismatches")
-    print(f"check pinned to one CPU against the working tree's run: {len(serial_out)} "
-          f"configs, {len(serial)} differing rows")
-    return 1 if differences or bench["failed"] or bench["mismatched"] or serial else 0
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] not in (["--run"], ["--bench"], ["--serial"]):  # PYTHONPATH's tree
+    if sys.argv[1:2] != ["--run"]:  # the --run child imports PYTHONPATH's tree
         sys.path.insert(0, str(REPO / "src"))
     sys.exit(main(sys.argv[1:]))

@@ -22,7 +22,7 @@ import os
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -553,8 +553,7 @@ def cmd_counts(inst: InstanceConfig, plain: Dualization, args):
 def cmd_sample(inst: InstanceConfig, plain: Dualization, args):
     cfg = inst.task.sampler
     if args.seed is not None:
-        cfg = SamplerConfig(steps=cfg.steps, burn_in=cfg.burn_in, seed=args.seed,
-                            proposal=cfg.proposal)
+        cfg = replace(cfg, seed=args.seed)
     stream = sample(inst.tables, cfg, bases=plain.bases)
     estimate, stderr = empirical_gap(stream, inst.weights)
     reference = fredholm_det(plain.Kc, inst.weights)
@@ -603,22 +602,21 @@ def cmd_oracle(inst: InstanceConfig, plain: Dualization, args):
     return code, ["quantity", "oracle", "library", "abs_diff", "bound", "status"], rows
 
 
+# name: (handler, help text, need). A need is what the command requires beyond
+# the chain, or None: (its name in a refusal, its value on the instance, None
+# where the config lacks it)
+_POINTS = ("task.points", lambda inst: inst.task.points)
 _COMMANDS = {
-    "check": cmd_check,
-    "gap": cmd_gap,
-    "janossy": cmd_janossy,
-    "correlate": cmd_correlate,
-    "counts": cmd_counts,
-    "sample": cmd_sample,
-    "oracle": cmd_oracle,
-}
-
-# what each command needs beyond the chain: (what, whether the instance has it)
-_PREREQUISITES = {
-    "janossy": (("task.points", lambda inst: inst.task.points is not None),),
-    "correlate": (("task.points", lambda inst: inst.task.points is not None),),
-    "counts": (("interval-type weights", lambda inst: inst.weight_intervals is not None),),
-    "sample": (("task.sampler", lambda inst: inst.task.sampler is not None),),
+    "check": (cmd_check, "verify the resolvent identity and all residual identities", None),
+    "gap": (cmd_gap, "Fredholm determinant (gap probability for indicator weights)", None),
+    "janossy": (cmd_janossy, "Janossy density of the weights at the configured points",
+                _POINTS),
+    "correlate": (cmd_correlate, "correlation function at the configured points", _POINTS),
+    "counts": (cmd_counts, "count distribution over the configured interval system",
+               ("interval-type weights", lambda inst: inst.weight_intervals)),
+    "sample": (cmd_sample, "Metropolis run with empirical gap estimate",
+               ("task.sampler", lambda inst: inst.task.sampler)),
+    "oracle": (cmd_oracle, "exhaustive enumeration cross-checks (discrete instances)", None),
 }
 
 
@@ -629,16 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "determinants, and resolvent-identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "check": "verify the resolvent identity and all residual identities",
-        "gap": "Fredholm determinant (gap probability for indicator weights)",
-        "janossy": "Janossy density of the weights at the configured points",
-        "correlate": "correlation function at the configured points",
-        "counts": "count distribution over the configured interval system",
-        "sample": "Metropolis run with empirical gap estimate",
-        "oracle": "exhaustive enumeration cross-checks (discrete instances)",
-    }
-    for name, desc in descriptions.items():
+    for name, (_, desc, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="JSON instance config")
         p.add_argument("--out", default=None, help="CSV output path")
@@ -657,11 +646,11 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         inst = load_instance(args.config)
-        for what, present in _PREREQUISITES.get(args.command, ()):
-            if not present(inst):
-                raise ConfigError(f"{args.command} needs {what} in the config")
+        handler, _, need = _COMMANDS[args.command]
+        if need and need[1](inst) is None:
+            raise ConfigError(f"{args.command} needs {need[0]} in the config")
         plain = dualize(inst.tables, WeightSet.zeros(inst.tables.grids))
-        code, header, rows = _COMMANDS[args.command](inst, plain, args)
+        code, header, rows = handler(inst, plain, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,7 @@ lower blocks of g, one level-row block at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -280,14 +280,8 @@ class IdentityResiduals:
     scale: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "resolvent": self.resolvent,
-            "checked_product": self.checked_product,
-            "transfer_transfer": self.transfer_transfer,
-            "kernel_kernel": self.kernel_kernel,
-            "transfer_kernel": self.transfer_kernel,
-            "kernel_transfer": self.kernel_transfer,
-        }
+        """The six residuals, in field order (the CSV's order)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "scale"}
 
     def max_residual(self) -> float:
         return max(self.as_dict().values())

@@ -10,7 +10,14 @@ import detchain
 from detchain.cli import CONFIG_SCHEMA, _digest, main, parse_instance
 from detchain.instances import monomial_discrete_config, random_discrete_instance
 
-from .conftest import CONFIG_DIR, REPO_ROOT, perfbench_module, soft_m2n2, zero_gap_m2n2
+from .conftest import (
+    BUNDLED_DISCRETE,
+    CONFIG_DIR,
+    REPO_ROOT,
+    perfbench_module,
+    soft_m2n2,
+    zero_gap_m2n2,
+)
 
 
 def run(args):
@@ -26,9 +33,10 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def test_check_bundled_instances_pass(tmp_path):
+@pytest.mark.parametrize("name", BUNDLED_DISCRETE + ["gauss_chain"])
+def test_check_bundled_instances_pass(tmp_path, name):
     out = tmp_path / "check.csv"
-    code = run(["check", "--config", config_path("discrete_m1n2"), "--out", out])
+    code = run(["check", "--config", config_path(name), "--out", out])
     assert code == 0
     rows = read_csv(out)
     assert all(r["status"] == "pass" for r in rows)

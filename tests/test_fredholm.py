@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -44,6 +47,7 @@ from detchain.instances import monomial_discrete_config, random_discrete_instanc
 from detchain.cli import parse_instance
 
 from .conftest import (
+    REPO_ROOT,
     perfbench_module,
     two_point_chain,
     workload_instances,
@@ -753,10 +757,15 @@ def test_check_memory_stays_below_two_kernel_arrays(tmp_path, monkeypatch):
 
 
 def split_cases(tmp_path):
-    """gl_chain seed 1, configs 0-2, and structured_cases()."""
+    """gl_chain seed 1, configs 0-2, structured_cases() and the three
+    discrete_verify instances whose check rows read furthest over their
+    bounds (ROADMAP item 1)."""
     for inst in workload_instances("gl_chain", 1, range(3), tmp_path):
         yield inst.tables, inst.weights
     yield from structured_cases()
+    for seed, cycle in ((4, 1816), (5, 1407), (2, 216)):
+        inst = workload_instances("discrete_verify", seed, [cycle], tmp_path)[0]
+        yield inst.tables, inst.weights
 
 
 def test_split_rows_are_the_serial_rows_bit_for_bit(tmp_path, monkeypatch):
@@ -777,7 +786,38 @@ def test_split_rows_are_the_serial_rows_bit_for_bit(tmp_path, monkeypatch):
             split = cli.check_rows(tables, plain, dual, 1e-10)
         assert split == serial
         count += 1
-    assert len(splits) == count == 3 + 36
+    assert len(splits) == count == 3 + 36 + 3
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity call on this platform")
+def test_check_pinned_to_one_cpu_writes_the_unpinned_csv(tmp_path):
+    """detchain check on gl_chain seed 1, config 0, in a child process that
+    pins itself to one CPU: the affinity read gives one CPU, so the rows run
+    serially, and the CSV is byte for byte the one an unpinned child writes
+    (which splits the rows when it may run on two CPUs)."""
+    config = str(perfbench_module("workloads").WORKLOADS["gl_chain"](1, tmp_path)
+                 .config_for(0))
+    child = ("import os, sys\n"
+             "if sys.argv[1] == 'pin':\n"
+             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+             "from detchain import cli\n"
+             "code = cli.main(sys.argv[2:])\n"
+             "print(cli._cpus())\n"
+             "sys.exit(code)\n")
+    # BLAS on one thread in both children, as the benchmark runs it
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cpus, written = {}, {}
+    for mode in ("pin", "free"):
+        out = tmp_path / f"{mode}.csv"
+        run = subprocess.run([sys.executable, "-c", child, mode, "check", "--config", config,
+                              "--out", str(out)], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        cpus[mode] = int(run.stdout.split()[-1])
+        written[mode] = out.read_bytes()
+    assert cpus == {"pin": 1, "free": len(os.sched_getaffinity(0))}
+    assert written["pin"] == written["free"]
 
 
 def test_refusal_on_the_kernel_thread_exits_3(tmp_path, monkeypatch, capsys):
