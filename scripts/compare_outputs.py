@@ -13,7 +13,7 @@ per level and 4, 2 on 8; no sampler section), a chain whose gap is
 5.0e-13 (m, N = 3, 2 on 7 nodes per level, seed 7, coupling 1, w = 1 except
 on the last two nodes of each level; no sampler section), plus
 the seed-1 configs ``gl_chain`` 0-2, ``discrete_verify`` 0-5 and ``mcmc``
-0-1 of ``perfbench/workloads.py`` (imported by path, read only) and the
+0-1 of ``perfbench/workloads.py`` (imported, read only) and the
 ``discrete_verify`` (seed, cycle) pairs (4, 1816), (5, 1407) and (2, 216)
 of ROADMAP item 1's table (cond A^w 1.25e8 at the first): the instances
 whose ``check`` rows read furthest over their bounds, where the dense
@@ -39,7 +39,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import difflib
-import importlib.util
 import io
 import json
 import os
@@ -61,20 +60,11 @@ WORST_CONDITIONED = ((4, 1816), (5, 1407), (2, 216))
 FIELDS = ("code", "stdout", "stderr", "csv")
 
 
-def load_perfbench(name: str):
-    """The benchmark module ``perfbench/<name>.py``, imported by path."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  REPO / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def write_configs(directory: Path) -> list[Path]:
     """The bundled configs, their variants, two chains beyond 10^7 labeled
     tuples, a small-gap chain and the workload configs, one file each."""
     from detchain.instances import monomial_discrete_config
+    from workloads import WORKLOADS
 
     configs = []
     for name in BUNDLED:
@@ -106,17 +96,16 @@ def write_configs(directory: Path) -> list[Path]:
     del raw["task"]["sampler"]
     configs.append(directory / "small_gap_m3n2.json")
     configs[-1].write_text(json.dumps(raw))
-    workloads = load_perfbench("workloads")
     scratch = directory / "workloads"
     for name, cycles in WORKLOAD_CYCLES.items():
-        workload = workloads.WORKLOADS[name](SEED, scratch)
+        workload = WORKLOADS[name](SEED, scratch)
         for cycle in range(cycles):
             configs.append(directory / f"{name}-{cycle}.json")
             # some workloads rewrite one file per cycle: copy it out at once
             shutil.copyfile(workload.config_for(cycle), configs[-1])
     for seed, cycle in WORST_CONDITIONED:
         configs.append(directory / f"discrete_verify-s{seed}c{cycle}.json")
-        shutil.copyfile(workloads.WORKLOADS["discrete_verify"](seed, scratch)
+        shutil.copyfile(WORKLOADS["discrete_verify"](seed, scratch)
                         .config_for(cycle), configs[-1])
     shutil.rmtree(scratch)
     return configs
@@ -265,5 +254,5 @@ def main(argv: list[str]) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] != ["--run"]:  # the --run child imports PYTHONPATH's tree
-        sys.path.insert(0, str(REPO / "src"))
+        sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
     sys.exit(main(sys.argv[1:]))

@@ -25,6 +25,7 @@ from .chain import (
     indicator_vector,
     tabulate,
 )
+from .check import IdentityResiduals, g_resolvent_residual, theorem2_residuals
 from .errors import (
     CompositionInconsistency,
     DegenerateBasis,
@@ -41,14 +42,11 @@ from .errors import (
 )
 from .fredholm import (
     CountDistribution,
-    IdentityResiduals,
     correlation,
     fredholm_det,
-    g_resolvent_residual,
     gap_generating_function,
     janossy,
     resolvent,
-    theorem2_residuals,
 )
 from .kernels import (
     BlockKernel,

@@ -187,29 +187,6 @@ def _measure_weights(grids, weights: WeightSet) -> np.ndarray:
 _CHUNK = 1 << 15
 
 
-def _chunks(n: int, width: int) -> list[slice]:
-    """range(n) cut into ceil(n / width) slices of near-equal length, so that
-    no slice of a longer range is narrower than width / 2."""
-    if n <= width:
-        return [slice(0, n)]
-    k = -(-n // width)
-    cuts = [n * j // k for j in range(k + 1)]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-
-
-def _column_chunks(offsets, i: int) -> list[slice]:
-    """The column chunks of level-row block i of a kernel with these offsets,
-    about _CHUNK entries each: one chunk on small kernels."""
-    return _chunks(offsets[-1], max(8, _CHUNK // (offsets[i] - offsets[i - 1])))
-
-
-def _blocks(offsets) -> list[tuple[int, slice, slice]]:
-    """(i, rows, cols) over the level-row blocks i = 1..m of a kernel with
-    these offsets, each cut into its column chunks."""
-    return [(i, slice(offsets[i - 1], offsets[i]), cols) for i in range(1, len(offsets))
-            for cols in _column_chunks(offsets, i)]
-
-
 def _worst(values) -> float:
     """The largest of the values, 0 for none; the first NaN among them is
     returned at once."""
@@ -271,16 +248,6 @@ def kernel_via_inverse(tables: ChainTables, weights: WeightSet) -> BlockKernel:
                            upward=False))
     return BlockKernel(matrix=lambda: left.T @ right, grids=tables.grids, checked=False,
                        rank=tables.N, source=(left, right))
-
-
-def construction_residual(K: BlockKernel, via: BlockKernel) -> float:
-    """max |K - via| for ``via`` from ``kernel_via_inverse``, judged one
-    level-row block and column chunk at a time against its two walked
-    factors: the product is never formed whole. Each entry of a chunk is the
-    same N-term sum as in the formed matrix."""
-    left, right = via.source
-    return _worst(_max_abs_diff(K.matrix[rows, cols], left[:, rows].T @ right[:, cols])
-                  for _, rows, cols in _blocks(K.offsets))
 
 
 def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,

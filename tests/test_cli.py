@@ -43,10 +43,6 @@ def test_check_bundled_instances_pass(tmp_path, name):
     assert all(r["instance"] and r["tolerance"] for r in rows)
 
 
-def test_check_quadrature_instance():
-    assert run(["check", "--config", config_path("gauss_chain")]) == 0
-
-
 def test_gap_with_empty_intervals_prints_one(tmp_path, capsys):
     cfg = json.loads(config_path("discrete_m1n2").read_text())
     cfg["weights"] = {"intervals": [[]], "kappas": [[]]}

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -34,15 +35,15 @@ from detchain import (
     resolvent,
     theorem2_residuals,
 )
-from detchain import cli, kernels
+from detchain import check, cli, kernels
 from detchain.chain import indicators
-from detchain.fredholm import (
+from detchain.check import (
     _identity_products,
     _transfer_resolvent_rows,
-    _walked,
     theorem2_residuals_of,
     transfer_resolvent_residual,
 )
+from detchain.fredholm import _walked
 from detchain.instances import monomial_discrete_config, random_discrete_instance
 from detchain.cli import parse_instance
 
@@ -429,7 +430,7 @@ def test_structured_products_match_compose_w(tmp_path):
     gl = workload_instances("gl_chain", 1, [0], tmp_path)[0]
     for tables, ws in [*structured_cases(), (gl.tables, gl.weights)]:
         plain, dual = dualize(tables, WeightSet.zeros(tables.grids)), dualize(tables, ws)
-        scale = theorem2_residuals_of(tables, plain, dual).scale
+        scale = theorem2_residuals_of(plain, dual).scale
         dense = {
             "kernel_kernel": compose_w(plain.K, ws, dual.K),
             "kernel_transfer": compose_w(plain.K, ws, dual.g),
@@ -438,7 +439,7 @@ def test_structured_products_match_compose_w(tmp_path):
             "checked_product": compose_w(plain.Kc, ws, dual.Kc),
         }
         seen = set()
-        for name, i, cols, product, _ in _identity_products(tables, plain, dual):
+        for name, i, cols, product, _ in _identity_products(plain, dual):
             o = plain.K.offsets
             ref = dense[name].matrix[o[i - 1]:o[i], cols]
             assert np.max(np.abs(product - ref)) <= 1e-13 * scale, (name, i)
@@ -461,10 +462,10 @@ def test_forward_substitution_matches_dense_transfer_resolvent():
         assert transfer_resolvent_residual(gt, ws, g) <= 1e-13 * scale
 
 
-def check_rows(tables, plain, dual):
+def check_rows(plain, dual):
     """check's rows as {name: (residual, bound)} on the given records."""
     return {name: (value, bound)
-            for name, value, bound in cli.check_rows(tables, plain, dual, 1e-10)}
+            for name, value, bound in check.check_rows(plain, dual, 1e-10)}
 
 
 def perturbed(kernel, i, j):
@@ -493,14 +494,14 @@ def test_no_row_is_tautological(target, judged):
     that input over its bound, and leaves the others within theirs."""
     tables, ws = random_discrete_instance(47, m=3, N=2)
     plain, dual = dualize(tables, WeightSet.zeros(tables.grids)), dualize(tables, ws)
-    assert all(v <= b for v, b in check_rows(tables, plain, dual).values())
+    assert all(v <= b for v, b in check_rows(plain, dual).values())
     if target == "dual g":
         dual = replace(dual, g=perturbed(dual.g, 3, 1))
     elif target == "dual K":
         dual = replace(dual, K=perturbed(dual.K, 2, 2))
     else:
         plain = replace(plain, K=perturbed(plain.K, 2, 2))
-    rows = check_rows(tables, plain, dual)
+    rows = check_rows(plain, dual)
     over = {name for name, (v, b) in rows.items() if v > b}
     assert over == judged, rows
 
@@ -724,7 +725,7 @@ def test_check_forms_no_checked_kernel(monkeypatch):
         with monkeypatch.context() as patched:
             made = []
             patched.setattr(kernels.Dualization, "Kc", property(made.append))
-            name, _, bound = cli.check_rows(tables, plain, dual, 1.0)[0]
+            name, _, bound = check.check_rows(plain, dual, 1.0)[0]
             assert made == []
         assert (name, bound) == ("identity_resolvent", scale)
 
@@ -745,11 +746,11 @@ def test_check_memory_stays_below_two_kernel_arrays(tmp_path, monkeypatch):
         record.K.matrix, record.g.matrix
     full = plain.K.matrix.nbytes
     for cpus in (1, 2):
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(check, "_cpus", lambda: cpus)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            cli.check_rows(tables, plain, dual, 1e-10)
+            check.check_rows(plain, dual, 1e-10)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -772,18 +773,19 @@ def test_split_rows_are_the_serial_rows_bit_for_bit(tmp_path, monkeypatch):
     """check_rows on one CPU and split over two threads, down to the smallest
     instances, give the same rows to the last bit."""
     splits = []
-    alongside = cli._alongside
-    monkeypatch.setattr(cli, "_alongside", lambda *a: splits.append(1) or alongside(*a))
+    executor = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda *a, **k: splits.append(1) or executor(*a, **k))
     count = 0
     for tables, ws in split_cases(tmp_path):
         plain, dual = dualize(tables, WeightSet.zeros(tables.grids)), dualize(tables, ws)
         with monkeypatch.context() as patched:
-            patched.setattr(cli, "_cpus", lambda: 1)
-            serial = cli.check_rows(tables, plain, dual, 1e-10)
+            patched.setattr(check, "_cpus", lambda: 1)
+            serial = check.check_rows(plain, dual, 1e-10)
         with monkeypatch.context() as patched:
-            patched.setattr(cli, "_cpus", lambda: 2)
-            patched.setattr(cli, "SPLIT_ABOVE", 0)
-            split = cli.check_rows(tables, plain, dual, 1e-10)
+            patched.setattr(check, "_cpus", lambda: 2)
+            patched.setattr(check, "SPLIT_ABOVE", 0)
+            split = check.check_rows(plain, dual, 1e-10)
         assert split == serial
         count += 1
     assert len(splits) == count == 3 + 36 + 3
@@ -801,9 +803,9 @@ def test_check_pinned_to_one_cpu_writes_the_unpinned_csv(tmp_path):
     child = ("import os, sys\n"
              "if sys.argv[1] == 'pin':\n"
              "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-             "from detchain import cli\n"
+             "from detchain import check, cli\n"
              "code = cli.main(sys.argv[2:])\n"
-             "print(cli._cpus())\n"
+             "print(check._cpus())\n"
              "sys.exit(code)\n")
     # BLAS on one thread in both children, as the benchmark runs it
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), OPENBLAS_NUM_THREADS="1",
@@ -830,8 +832,8 @@ def test_refusal_on_the_kernel_thread_exits_3(tmp_path, monkeypatch, capsys):
     def singular(tables, weights):
         raised_on.append(threading.current_thread())
         raise SingularPairing("pairing matrix is numerically singular (test)")
-    monkeypatch.setattr(cli, "kernel_via_inverse", singular)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(check, "kernel_via_inverse", singular)
+    monkeypatch.setattr(check, "_cpus", lambda: 2)
     threads = threading.active_count()
     assert cli.main(["check", "--config", config]) == 3
     assert "SingularPairing" in capsys.readouterr().err

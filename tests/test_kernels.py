@@ -19,7 +19,7 @@ from detchain import (
     kernel_via_inverse,
     make_discrete_grid,
 )
-from detchain.cli import check_rows
+from detchain.check import check_rows
 from detchain.instances import random_discrete_instance
 
 from .conftest import seeded_chain, two_point_chain, uniform_weights, workload_instances
@@ -264,7 +264,7 @@ def test_walked_constructions_meet_check_bounds(m):
     for seed in range(40):
         tables, ws = random_discrete_instance(seed, m=m)
         plain, dual = dualize(tables, WeightSet.zeros(tables.grids)), dualize(tables, ws)
-        for name, value, bound in check_rows(tables, plain, dual, 1e-10):
+        for name, value, bound in check_rows(plain, dual, 1e-10):
             kind = name.split("_")[0]
             if kind in worst:
                 worst[kind] = max(worst[kind], value / bound)
