@@ -212,19 +212,29 @@ def _identity_products(plain: Dualization, dual: Dualization):
             yield "checked_product", i, cols, KK - KG - GK + GG, (Kt_c - gt_c) - (K_c - g_c)
 
 
-def theorem2_residuals_of(plain: Dualization, dual: Dualization) -> IdentityResiduals:
-    """``theorem2_residuals`` on ready dualizations of one chain: ``plain`` at
-    w = 0, ``dual`` at w. Neither checked kernel is formed: the scale takes
-    max |K - g| one level-row block and column chunk at a time, and every
-    residual is judged the same way."""
+def _composition_residuals(plain: Dualization,
+                           dual: Dualization) -> tuple[float, dict[str, float]]:
+    """The identity scale and the residuals of the four composition identities
+    and the checked product, by name: every identity residual but the
+    resolvent's. Neither checked kernel is formed: the scale takes max |K - g|
+    one level-row block and column chunk at a time, and every residual is
+    judged the same way."""
     scale = max(1.0, _worst(_max_abs_diff(d.K.matrix[rows, cols], d.g.matrix[rows, cols])
                             for d in (plain, dual)
                             for _, rows, cols in _blocks(plain.K.offsets)))
-    values = {"resolvent": [resolvent_residual(plain, dual)]}
+    values = {}
     for name, _, _, product, form in _identity_products(plain, dual):
         values.setdefault(name, []).append(_max_abs_diff(product, form))
-    return IdentityResiduals(scale=scale,
-                             **{name: _worst(v) for name, v in values.items()})
+    return scale, {name: _worst(v) for name, v in values.items()}
+
+
+def theorem2_residuals_of(plain: Dualization, dual: Dualization) -> IdentityResiduals:
+    """``theorem2_residuals`` on ready dualizations of one chain: ``plain`` at
+    w = 0, ``dual`` at w; ``resolvent_residual`` beside
+    ``_composition_residuals``."""
+    scale, products = _composition_residuals(plain, dual)
+    return IdentityResiduals(resolvent=resolvent_residual(plain, dual), scale=scale,
+                             **products)
 
 
 def _transfer_resolvent_rows(gt: BlockKernel, weights: WeightSet):
@@ -286,40 +296,43 @@ def check_rows(plain: Dualization, dual: Dualization, tol: float):
     the bounds. Each record's K is scanned once for its scale.
 
     On a process with two or more CPUs and more than SPLIT_ABOVE nodes in
-    all, a worker thread judges the kernel rows (construction invariance and
-    both factorizations) while this one judges the identity rows; both run
-    the same functions on the same arrays as the serial order, so every row
-    is the same to the last bit. Both records' K and g are formed first,
-    since a kernel forms its matrix on the first read without a lock.
+    all, a worker thread judges the reference rows (the resolvent against
+    its dense LU on S, construction invariance and both factorizations)
+    while this one takes the identity scale, the composition identities,
+    the transfer resolvent and both K scales; both run the same functions on
+    the same arrays as the serial order, so every row is the same to the
+    last bit. Both records' K and g are formed first, since a kernel forms
+    its matrix on the first read without a lock.
     """
     tables, weights = plain.bases.tables, dual.bases.weight_set
     records = (("plain", plain), ("dual", dual))
     for _, d in records:
         d.K.matrix, d.g.matrix
 
-    def identity_rows():
-        return (theorem2_residuals_of(plain, dual),
+    def composition_rows():
+        return (_composition_residuals(plain, dual),
                 transfer_resolvent_residual(dual.g, weights, plain.g),
                 {label: max(1.0, d.K.max_abs()) for label, d in records})
 
-    def kernel_rows():
+    def reference_rows():
         via = kernel_via_inverse(tables, weights)
-        return [construction_residual(dual.K, via)] + [
+        return [resolvent_residual(plain, dual), construction_residual(dual.K, via)] + [
             factorization_residual(d.K, d.g, tables, d.bases.weight_set)
             for _, d in records]
 
     if plain.K.offsets[-1] > SPLIT_ABOVE and _cpus() > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        # leaving the block joins the worker: an exception of the identity
-        # rows is raised once both halves have finished, one of the kernel
+        # leaving the block joins the worker: an exception of the composition
+        # rows is raised once both halves have finished, one of the reference
         # rows by result()
         with ThreadPoolExecutor(1, thread_name_prefix="detchain-check") as pool:
-            kernel = pool.submit(kernel_rows)
-            res, transfer, scale = identity_rows()
-        kernel = kernel.result()
+            reference = pool.submit(reference_rows)
+            (scale, products), transfer, kscale = composition_rows()
+        reference = reference.result()
     else:
-        (res, transfer, scale), kernel = identity_rows(), kernel_rows()
+        ((scale, products), transfer, kscale), reference = composition_rows(), reference_rows()
+    res = IdentityResiduals(resolvent=reference[0], scale=scale, **products)
     rows = [(f"identity_{name}", value, tol * res.scale)
             for name, value in res.as_dict().items()]
     rows.append(("transfer_resolvent", transfer, tol * res.scale))
@@ -328,7 +341,7 @@ def check_rows(plain: Dualization, dual: Dualization, tol: float):
     rows += [(f"pairing_expressions_{label}", d.bases.expression_gap,
               1e-11 * max(1.0, float(np.max(np.abs(d.bases.decomposition.A)))))
              for label, d in records]
-    rows.append(("construction_invariance", kernel[0], 1e-12 * scale["dual"]))
-    rows += [(f"factorization_{label}", value, 1e-11 * scale[label])
-             for (label, _), value in zip(records, kernel[1:])]
+    rows.append(("construction_invariance", reference[1], 1e-12 * kscale["dual"]))
+    rows += [(f"factorization_{label}", value, 1e-11 * kscale[label])
+             for (label, _), value in zip(records, reference[2:])]
     return rows

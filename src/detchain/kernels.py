@@ -258,39 +258,47 @@ def factorization_residual(K: BlockKernel, g: BlockKernel, tables: ChainTables,
     j != m, and the adjacent-level relations in both directions. Supply a
     plain kernel with zero weights or a weighted kernel with its weights;
     the identities are exact either way, so the return value is pure
-    floating-point noise on a consistent instance. The relations are read
-    off the stored matrix K, not its factors: psi^(j+1) is defined as the
-    walk of psi^(j), so on psi^T phi the adjacent relations would hold to
-    the last bit and judge nothing. At each level i they are judged on row
-    block i (corner; down, from i - 1) and column block i (up, from i + 1),
-    so no (sum n_j)^2 temporary is formed; each difference is judged in
-    row chunks.
+    floating-point noise on a consistent instance. The left side of every
+    relation is the stored matrix K; the right side is formed from K's own
+    rank-N factors psi, phi (its ``source``, a ``DualBases``; any other
+    kernel is refused) carried one level by the transfer tables g_j and the
+    masses e, never through ``biortho.walk``: row block i is
+    (g_{i-1} e_{i-1} psi_{i-1}^T) Phi (down), column block i is
+    Psi^T (phi_{i+1} e_{i+1} g_i) (up), and row block i of the corner
+    relation is W_i phi_m on the level-m columns and W_i (phi_m e_m) g_m< on
+    the others, with W_1 = psi_1^T, W_i = g_i1 e_1 psi_1^T and g_m< g's
+    row block m. A wrong entry of K, of one level's psi or phi, of g's
+    block column 1 or row block m, or of a walk between levels breaks a
+    relation (docs/conventions.md, "What each row catches"). Every product
+    that fills a (sum n_j)-wide block has inner dimension N, and each
+    difference is judged in row chunks.
     """
-    e = dual_masses(tables, weights)
+    bases = K.source
+    if not isinstance(bases, DualBases):
+        raise StateError("factorization_residual requires a kernel that keeps its dual "
+                         "bases: build_K(bases)")
     o = K.offsets
     m = K.m
     if m == 1:
         return 0.0
+    e = dual_masses(tables, weights)
+    G, psi, phi = tables.g_values, bases.psi, bases.phi
+    Psi, Phi = np.hstack(psi), np.hstack(phi)
     M = K.matrix
+    psi1 = e[0][:, None] * psi[0].T
+    across = (phi[-1] * e[-1]) @ g.matrix[o[-2]:, :o[-2]]
 
     def corners():
-        # block (1, m) carried down its rows by g_i1 diag(e_1), then across its
-        # columns by diag(e_m) g_mj; g's zero blocks (1, 1) and (m, m) are skipped
-        carried = e[0][:, None] * K.block(1, m)
-        across = g.matrix[o[-2]:, :o[-2]]
         for i in range(1, m + 1):
             r = slice(o[i - 1], o[i])
-            cols = K.block(1, m) if i == 1 else g.block(i, 1) @ carried
-            yield _max_abs_diff(M[r, o[-2]:], cols)
-            yield _max_abs_diff(M[r, :o[-2]], (cols * e[-1][None, :]) @ across)
+            W = psi[0].T if i == 1 else g.block(i, 1) @ psi1
+            yield _max_abs_diff(M[r, o[-2]:], W @ phi[-1])
+            yield _max_abs_diff(M[r, :o[-2]], W @ across)
 
-    # the corner relations' temporaries are freed before the adjacent ones,
-    # which hold the largest: a level block of M scaled and its product
     worst = list(corners())
-    worst += [_max_abs_diff(M[o[i - 1]:o[i]], tables.g_values[i - 2]
-                            @ (e[i - 2][:, None] * M[o[i - 2]:o[i - 1]]))
+    worst += [_max_abs_diff(M[o[i - 1]:o[i]], (G[i - 2] @ (e[i - 2][:, None] * psi[i - 2].T))
+                            @ Phi)
               for i in range(2, m + 1)]
-    worst += [_max_abs_diff(M[:, o[i - 1]:o[i]], (M[:, o[i]:o[i + 1]] * e[i][None, :])
-                            @ tables.g_values[i - 1])
+    worst += [_max_abs_diff(M[:, o[i - 1]:o[i]], Psi.T @ ((phi[i] * e[i]) @ G[i - 1]))
               for i in range(1, m)]
     return _worst(worst)

@@ -9,6 +9,7 @@ import pytest
 
 from detchain import WeightSet, from_tables, make_discrete_grid
 from detchain.cli import parse_instance
+from detchain.instances import random_discrete_instance
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -95,3 +96,29 @@ def workload_instances(name, seed, cycles, directory):
     workload = perfbench_module("workloads").WORKLOADS[name](seed, directory)
     return [parse_instance(json.loads(Path(workload.config_for(c)).read_text()))
             for c in cycles]
+
+
+def structured_cases():
+    """Seeded m = 1..4 instances with soft weights, indicator weights (two
+    nodes per level outside the set, so A^w can have rank N) and an empty
+    support (w = 0)."""
+    rng = np.random.default_rng(6)
+    for m in range(1, 5):
+        for seed in range(3):
+            tables, soft = random_discrete_instance(600 + 10 * m + seed, m=m, N=2)
+            indicator = WeightSet(tuple(np.r_[rng.random(w.size - 2) < 0.5, 0, 0]
+                                        .astype(float) for w in soft.w))
+            for ws in (soft, indicator, WeightSet.zeros(tables.grids)):
+                yield tables, ws
+
+
+def split_cases(tmp_path):
+    """gl_chain seed 1, configs 0-2, structured_cases() and the three
+    discrete_verify instances whose check rows read furthest over their
+    bounds (ROADMAP item 1)."""
+    for inst in workload_instances("gl_chain", 1, range(3), tmp_path):
+        yield inst.tables, inst.weights
+    yield from structured_cases()
+    for seed, cycle in ((4, 1816), (5, 1407), (2, 216)):
+        inst = workload_instances("discrete_verify", seed, [cycle], tmp_path)[0]
+        yield inst.tables, inst.weights

@@ -50,6 +50,8 @@ from detchain.cli import parse_instance
 from .conftest import (
     REPO_ROOT,
     perfbench_module,
+    split_cases,
+    structured_cases,
     two_point_chain,
     workload_instances,
     zero_gap_m2n2,
@@ -409,20 +411,6 @@ def test_support_restriction_matches_dense_formulas():
     assert count == 12  # six indicator sets and six w = 0
 
 
-def structured_cases():
-    """Seeded m = 1..4 instances with soft weights, indicator weights (two
-    nodes per level outside the set, so A^w can have rank N) and an empty
-    support (w = 0)."""
-    rng = np.random.default_rng(6)
-    for m in range(1, 5):
-        for seed in range(3):
-            tables, soft = random_discrete_instance(600 + 10 * m + seed, m=m, N=2)
-            indicator = WeightSet(tuple(np.r_[rng.random(w.size - 2) < 0.5, 0, 0]
-                                        .astype(float) for w in soft.w))
-            for ws in (soft, indicator, WeightSet.zeros(tables.grids)):
-                yield tables, ws
-
-
 def test_structured_products_match_compose_w(tmp_path):
     """Every product of the identity suite, formed from the rank-N factors and
     g's lower blocks, equals the dense compose_w product row block by row
@@ -469,14 +457,16 @@ def check_rows(plain, dual):
 
 
 def perturbed(kernel, i, j):
-    """The kernel with the largest entry of block (i, j) raised by 1e-7 relative."""
+    """The kernel with the largest entry of block (i, j) raised by 1e-7
+    relative; it keeps its source, since the stored matrix is perturbed, not
+    the factors it was made from."""
     o = kernel.offsets
     matrix = kernel.matrix.copy()
     block = matrix[o[i - 1]:o[i], o[j - 1]:o[j]]
     r, c = np.unravel_index(np.argmax(np.abs(block)), block.shape)
     block[r, c] *= 1.0 + 1e-7
     return BlockKernel(matrix=matrix, grids=kernel.grids, checked=kernel.checked,
-                       rank=kernel.rank)
+                       rank=kernel.rank, source=kernel.source)
 
 
 @pytest.mark.parametrize("target, judged", [
@@ -735,9 +725,9 @@ def test_check_memory_stays_below_two_kernel_arrays(tmp_path, monkeypatch):
     both records' K and g formed and both threads counted, stays below 2
     (sum n_j)^2 arrays, on the serial path and on the split. The bound is the
     largest temporaries that can be live at once: the resolvent reference
-    holds M_S, X and (1 - M_SS)^{-1} M_SS (about one array at |S| = 315 of
-    768) while the factorization holds a scaled level block of K and its
-    product (2/3 of one), plus the streamed chunks. Whole-matrix row
+    on the worker holds M_S, X and (1 - M_SS)^{-1} M_SS (about one array at
+    |S| = 315 of 768) while the composition products on the calling thread
+    hold their streamed chunks (about 3/4 of one). Whole-matrix row
     judgement needed 3.02."""
     inst = workload_instances("gl_chain", 1, [0], tmp_path)[0]
     tables = inst.tables
@@ -755,18 +745,6 @@ def test_check_memory_stays_below_two_kernel_arrays(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 2.0 * full, (cpus, peak / full)
-
-
-def split_cases(tmp_path):
-    """gl_chain seed 1, configs 0-2, structured_cases() and the three
-    discrete_verify instances whose check rows read furthest over their
-    bounds (ROADMAP item 1)."""
-    for inst in workload_instances("gl_chain", 1, range(3), tmp_path):
-        yield inst.tables, inst.weights
-    yield from structured_cases()
-    for seed, cycle in ((4, 1816), (5, 1407), (2, 216)):
-        inst = workload_instances("discrete_verify", seed, [cycle], tmp_path)[0]
-        yield inst.tables, inst.weights
 
 
 def test_split_rows_are_the_serial_rows_bit_for_bit(tmp_path, monkeypatch):
